@@ -80,9 +80,7 @@ class RunConfig:
         if path is None:
             return RunConfig()
         try:
-            raw = json.loads(open(path).read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raw = _read_json(path, "config")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -179,20 +177,25 @@ def _write_json(path: str, obj: dict, argv: list[str]) -> None:
     _write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n", argv)
 
 
+def _read_json(path: str, what: str):
+    """Parsed contents of a JSON file; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_topology(path: str) -> Topology:
     try:
-        return Topology.from_json(open(path).read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read topology {path}: {exc}") from exc
+        return Topology.from_json_dict(_read_json(path, "topology"))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a topology file: {exc}") from exc
 
 
 def _load_solution(path: str) -> Solution:
     try:
-        return Solution.from_json_dict(json.loads(open(path).read()))
-    except OSError as exc:
-        raise ConfigError(f"cannot read solution {path}: {exc}") from exc
+        return Solution.from_json_dict(_read_json(path, "solution"))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a solution file: {exc}") from exc
 
@@ -202,10 +205,7 @@ def _effective_params(args: argparse.Namespace, cfg: RunConfig) -> ConstraintPar
     if cfg.params is not None:
         return ConstraintParams.from_json_dict(cfg.params)
     if getattr(args, "params", None):
-        try:
-            params = ConstraintParams.from_json_dict(json.loads(open(args.params).read()))
-        except OSError as exc:
-            raise ConfigError(f"cannot read params {args.params}: {exc}") from exc
+        params = ConstraintParams.from_json_dict(_read_json(args.params, "params"))
     else:
         params = default_params()
     if getattr(args, "eps_tol", None) is not None:
@@ -435,12 +435,12 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
     fill = args.fill_orientation
 
     try:
-        tile(unit, sol, bc, args.nx, args.ny, params, fill_orientation=fill)
+        asm = tile(unit, sol, bc, args.nx, args.ny, params, fill_orientation=fill)
         unit_feasible = True
     except PreconditionError:
         unit_feasible = False
-    asm = tile(unit, sol, bc, args.nx, args.ny, params,
-               require_feasible=False, fill_orientation=fill)
+        asm = tile(unit, sol, bc, args.nx, args.ny, params,
+                   require_feasible=False, fill_orientation=fill)
     report = chip_check(asm, params)
     on_seams = seam_violations(asm, report)
 

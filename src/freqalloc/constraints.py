@@ -20,13 +20,18 @@ k are the distinct neighbors of the target other than the control.  Every
 family except C1 and DIFF is a lower bound on an absolute value; C1 is a hard
 window (no slack) and DIFF separates (or, with diff_separation=False, pins
 together) the absolute detunings of vertex-disjoint coupler pairs.
+
+LINEAR_FORMS is the single encoding of the bounded families' expressions:
+model building, checking, verification, the annealer and the yield sampler
+all read it.  Its term order fixes the variable order of the LP rows and the
+summation order of the yield sums, so reordering terms changes artifacts.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .topology import Edge, Topology, edge_key, parse_edge_key, spectator_triples
+from .topology import Edge, Topology, edge_key, parse_edge_key
 
 # Families carrying a slack lower bound, in canonical emission order.
 BOUNDED_FAMILIES = ("A1", "A2", "E1", "E2", "D1", "S1", "S2", "T1")
@@ -41,6 +46,19 @@ DEFAULT_BOUNDS = {
     "S1": 17.0,
     "S2": 25.0,
     "T1": 17.0,
+}
+
+# Bounded family -> ((participant role, coefficient), ...) and the constant as
+# a multiple of alpha: the record bounds |sum(coef * f[role]) + k * alpha|.
+LINEAR_FORMS: dict[str, tuple[tuple[tuple[int, float], ...], float]] = {
+    "A1": (((0, 1.0), (1, -1.0)), 0.0),
+    "A2": (((0, 1.0), (1, -1.0)), -1.0),
+    "E1": (((1, 1.0), (0, -1.0)), 0.0),
+    "E2": (((1, 1.0), (0, -1.0)), -1.0),
+    "D1": (((1, 1.0), (0, -1.0)), -0.5),
+    "S1": (((1, 1.0), (2, -1.0)), 0.0),
+    "S2": (((1, 1.0), (2, -1.0)), -1.0),
+    "T1": (((1, 1.0), (2, 1.0), (0, -2.0)), -1.0),
 }
 
 
@@ -107,20 +125,13 @@ class ConstraintParams:
         return self.eps_tol.get(family, 0.0)
 
     def tightened_bound(self, family: str) -> float:
-        if family == "DIFF":
-            return self.delta_diff
         return self.base_bound(family) + self.tightening(family)
 
     def max_measure(self, family: str) -> float:
         """Largest value the family's absolute expression can take in-window."""
-        w = self.window_width
-        a = abs(self.alpha)
-        return {
-            "A1": w, "E1": w, "S1": w,
-            "A2": w + a, "E2": w + a, "S2": w + a,
-            "D1": w + a / 2.0,
-            "T1": 2.0 * w + a,
-        }[family]
+        # the coefficients sum to zero, so the terms span sum|c|/2 window widths
+        terms, k = LINEAR_FORMS[family]
+        return sum(abs(c) for _, c in terms) / 2.0 * self.window_width + abs(k * self.alpha)
 
     # -- serialization ----------------------------------------------------
 
@@ -213,35 +224,32 @@ class ConstraintRecord:
     gate_pair: Edge | None = None
 
 
+def linear_form(record: ConstraintRecord, alpha: float) -> tuple[list[tuple[int, float]], float]:
+    """The (qubit, coefficient) terms and constant whose absolute value the record bounds."""
+    if record.family not in LINEAR_FORMS:
+        raise ValueError(f"{record.family} is not an absolute-value family")
+    terms, k = LINEAR_FORMS[record.family]
+    return [(record.participants[role], c) for role, c in terms], k * alpha
+
+
 def measured_value(record: ConstraintRecord, freqs: dict[int, float], params: ConstraintParams) -> float:
     """Evaluate the record's expression at the given frequencies."""
-    a = params.alpha
     p = record.participants
     fam = record.family
-    if fam == "A1":
-        return abs(freqs[p[0]] - freqs[p[1]])
-    if fam == "A2":
-        return abs(freqs[p[0]] - freqs[p[1]] - a)
     if fam == "C1":
         fc, ft = freqs[p[0]], freqs[p[1]]
-        return min(fc - ft, ft - fc - a)
-    if fam == "E1":
-        return abs(freqs[p[1]] - freqs[p[0]])
-    if fam == "E2":
-        return abs(freqs[p[1]] - freqs[p[0]] - a)
-    if fam == "D1":
-        return abs(freqs[p[1]] - freqs[p[0]] - a / 2.0)
-    if fam == "S1":
-        return abs(freqs[p[1]] - freqs[p[2]])
-    if fam == "S2":
-        return abs(freqs[p[1]] - freqs[p[2]] - a)
-    if fam == "T1":
-        return abs(freqs[p[1]] + freqs[p[2]] - 2.0 * freqs[p[0]] - a)
+        return min(fc - ft, ft - fc - params.alpha)
     if fam == "DIFF":
         gap_k = abs(freqs[p[0]] - freqs[p[1]])
         gap_l = abs(freqs[p[2]] - freqs[p[3]])
         return abs(gap_k - gap_l)
-    raise ValueError(f"unknown family {fam!r}")
+    if fam not in LINEAR_FORMS:
+        raise ValueError(f"unknown family {fam!r}")
+    terms, k = LINEAR_FORMS[fam]
+    value = 0.0
+    for role, c in terms:
+        value += c * freqs[p[role]]
+    return abs(value + k * params.alpha)
 
 
 def record_margin(
@@ -253,15 +261,9 @@ def record_margin(
     """Return (measured, bound, margin); the instance holds iff margin >= 0."""
     measured = measured_value(record, freqs, params)
     fam = record.family
-    if fam == "C1":
-        bound = params.tightening("C1") if tightened else 0.0
-        return measured, bound, measured - bound
-    if fam == "DIFF":
-        bound = params.delta_diff
-        if params.diff_separation:
-            return measured, bound, measured - bound
-        return measured, bound, bound - measured
     bound = params.tightened_bound(fam) if tightened else params.base_bound(fam)
+    if fam == "DIFF" and not params.diff_separation:
+        return measured, bound, bound - measured
     return measured, bound, measured - bound
 
 
@@ -269,7 +271,7 @@ def record_margin(
 
 
 def _directed_records(
-    topo: Topology,
+    neighbors: list[list[int]],
     edge_index: int,
     pair: Edge,
     case: int,
@@ -282,8 +284,10 @@ def _directed_records(
     for fam in ("E1", "E2", "D1"):
         if fam in params.base_bounds:
             out.append(ConstraintRecord(fam, (ctrl, tgt), (edge_index,), case, pair))
-    spectators = [k for (_, _, k) in spectator_triples(topo, ctrl, tgt)]
-    for k in spectators:
+    # spectators: the target's distinct neighbors other than the control
+    for k in neighbors[tgt]:
+        if k == ctrl:
+            continue
         for fam in ("S1", "S2", "T1"):
             if fam in params.base_bounds:
                 out.append(ConstraintRecord(fam, (ctrl, tgt, k), (edge_index,), case, pair))
@@ -314,16 +318,20 @@ def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> li
         if missing:
             raise ValueError(f"fixed mode lacks orientation for {sorted(missing)}")
 
+    adjacent: list[set[int]] = [set() for _ in range(topo.n_qubits)]
+    for a, b in topo.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    neighbors = [sorted(s) for s in adjacent]
+
     records: list[ConstraintRecord] = []
     for idx, pair in enumerate(topo.edges):
         for fam in ("A1", "A2"):
             if fam in params.base_bounds:
                 records.append(ConstraintRecord(fam, pair, (idx,)))
-        if mode == "fixed":
-            records.extend(_directed_records(topo, idx, pair, topo.orientation[pair], params))
-        else:
-            for case in (0, 1):
-                records.extend(_directed_records(topo, idx, pair, case, params))
+        cases = (topo.orientation[pair],) if mode == "fixed" else (0, 1)
+        for case in cases:
+            records.extend(_directed_records(neighbors, idx, pair, case, params))
 
     if params.delta_diff > 0:
         for i, j in edge_difference_pairs(topo):
@@ -400,6 +408,32 @@ def realized_orientation(topo: Topology, assignment: FrequencyAssignment) -> dic
     return merged
 
 
+def physical_records(
+    topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams
+) -> list[ConstraintRecord]:
+    """Instances in the realized orientation with base bounds and no DIFF."""
+    fixed = replace(topo, orientation=realized_orientation(topo, assignment))
+    return enumerate_records(fixed, "fixed", replace(params, eps_tol={}, delta_diff=0.0))
+
+
+def margin_report(
+    records: list[ConstraintRecord],
+    freqs: dict[int, float],
+    params: ConstraintParams,
+    tightened: bool,
+    tol: float = 0.0,
+) -> ViolationReport:
+    """Margins of every record; an instance is violated iff its margin < -tol."""
+    violations = []
+    min_margin = float("inf")
+    for rec in records:
+        measured, bound, margin = record_margin(rec, freqs, params, tightened)
+        min_margin = min(min_margin, margin)
+        if margin < -tol:
+            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
+    return ViolationReport(n_instances=len(records), violations=violations, min_margin=min_margin)
+
+
 def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> ViolationReport:
     """Physical collision check: every family instance at base bounds.
 
@@ -407,34 +441,8 @@ def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintPar
     bounds are the untightened base bounds, and DIFF is not part of the
     physical check.  An instance is violated iff its margin is < 0.
     """
-    orient = realized_orientation(topo, assignment)
-    fixed_topo = Topology(
-        n_qubits=topo.n_qubits,
-        edges=list(topo.edges),
-        geometry=topo.geometry,
-        orientation=orient,
-        wrap_tags=dict(topo.wrap_tags),
-    )
-    base = ConstraintParams(
-        base_bounds=dict(params.base_bounds),
-        alpha=params.alpha,
-        eps_tol={},
-        delta_diff=0.0,
-        f_window=params.f_window,
-        c1_enabled=params.c1_enabled,
-        diff_separation=params.diff_separation,
-    )
-    records = enumerate_records(fixed_topo, "fixed", base)
-    violations = []
-    min_margin = float("inf")
-    for rec in records:
-        measured, bound, margin = record_margin(rec, assignment.frequencies, base, tightened=False)
-        min_margin = min(min_margin, margin)
-        if margin < 0:
-            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
-    if not records:
-        min_margin = float("inf")
-    return ViolationReport(n_instances=len(records), violations=violations, min_margin=min_margin)
+    records = physical_records(topo, assignment, params)
+    return margin_report(records, assignment.frequencies, params, tightened=False)
 
 
 def load_params(path: str) -> ConstraintParams:

@@ -3,19 +3,19 @@
 The model maximizes the sum of per-family slack variables.  Every bounded
 family F present in the records gets one slack sF, lower-bounded by its
 tightened bound and upper-bounded by the largest value its expression can
-take inside the frequency window.  Each absolute-value instance |expr| >= sF
-turns into the disjunction
+take inside the frequency window.  Each absolute-value instance |expr| >= sF,
+with expr the record's LINEAR_FORMS entry, turns into the disjunction
 
     expr + M*b >= sF        and        -expr + M*(1-b) >= sF
 
 with a fresh binary b; the inactive branch must stay satisfiable for every
 in-window point, which is why the default big M is twice the largest
-attainable expression magnitude (the T1 family reaches 2*window + |alpha|)
-plus margin.  In free-orientation mode each directed instance additionally
-carries a gate term M*o or M*(1-o) on its coupler's orientation bit, so only
-the realized direction binds.  C1 is a pair of plain window rows (no slack),
-and DIFF links auxiliary gap variables d_e = |f_p - f_q| via four big-M rows
-per coupler plus one disjunction (or two proximity rows) per coupler pair.
+attainable expression magnitude (ConstraintParams.max_measure) plus margin.
+In free-orientation mode each directed instance additionally carries a gate
+term M*o or M*(1-o) on its coupler's orientation bit, so only the realized
+direction binds.  C1 is a pair of plain window rows (no slack), and DIFF
+links auxiliary gap variables d_e = |f_p - f_q| via four big-M rows per
+coupler plus one disjunction (or two proximity rows) per coupler pair.
 
 Variable naming is part of the file contract: f_<q> frequencies, s<FAM>
 slacks, o_<a>_<b> orientation bits, d_<p>_<q> detuning gaps, b_<k> all other
@@ -31,6 +31,7 @@ from .constraints import (
     ConstraintParams,
     ConstraintRecord,
     FrequencyAssignment,
+    linear_form,
 )
 from .topology import Edge, Topology, edge_key
 
@@ -122,7 +123,7 @@ class ModelIR:
 
 def default_big_m(params: ConstraintParams) -> float:
     """Safe default: twice the largest expression magnitude plus margin."""
-    return 2.0 * (2.0 * params.window_width + abs(params.alpha)) + 100.0
+    return 2.0 * max(params.max_measure(fam) for fam in BOUNDED_FAMILIES) + 100.0
 
 
 def linearize_abs_geq(
@@ -167,41 +168,6 @@ def linearize_abs_geq(
         RowDef(name + "_p", pos, ">=", rhs_pos),
         RowDef(name + "_n", neg, ">=", rhs_neg),
     ]
-
-
-def _abs_expression(rec: ConstraintRecord, alpha: float) -> tuple[dict[str, float], float]:
-    """Signed linear expression whose absolute value the record bounds."""
-    p = rec.participants
-    fam = rec.family
-
-    def f(q: int) -> str:
-        return f"f_{q}"
-
-    expr: dict[str, float] = {}
-
-    def add(q: int, c: float) -> None:
-        expr[f(q)] = expr.get(f(q), 0.0) + c
-
-    if fam in ("A1", "A2"):
-        add(p[0], 1.0)
-        add(p[1], -1.0)
-        const = 0.0 if fam == "A1" else -alpha
-    elif fam in ("E1", "E2", "D1"):
-        add(p[1], 1.0)
-        add(p[0], -1.0)
-        const = {"E1": 0.0, "E2": -alpha, "D1": -alpha / 2.0}[fam]
-    elif fam in ("S1", "S2"):
-        add(p[1], 1.0)
-        add(p[2], -1.0)
-        const = 0.0 if fam == "S1" else -alpha
-    elif fam == "T1":
-        add(p[1], 1.0)
-        add(p[2], 1.0)
-        add(p[0], -2.0)
-        const = -alpha
-    else:
-        raise ValueError(f"{fam} is not an absolute-value family")
-    return expr, const
 
 
 def build(
@@ -332,7 +298,8 @@ def build(
                 rows.append(RowDef(f"DIFF_{i}_hi", {dk: 1.0, dl: -1.0}, "<=", delta))
                 rows.append(RowDef(f"DIFF_{i}_lo", {dl: 1.0, dk: -1.0}, "<=", delta))
         else:
-            expr, const = _abs_expression(rec, params.alpha)
+            terms, const = linear_form(rec, params.alpha)
+            expr = {f"f_{q}": c for q, c in terms}
             rows.extend(
                 linearize_abs_geq(
                     f"{fam}_{row_index(fam)}",

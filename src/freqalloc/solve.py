@@ -20,8 +20,9 @@ from .constraints import (
     BOUNDED_FAMILIES,
     ConstraintParams,
     ConstraintRecord,
-    Violation,
     ViolationReport,
+    linear_form,
+    margin_report,
     record_margin,
 )
 from .model import ModelIR, Solution, export_lp, import_solution
@@ -194,16 +195,7 @@ def verify(
         for q in rec.participants:
             if q not in freqs:
                 raise ValueError(f"solution lacks a frequency for qubit {q}")
-    violations = []
-    min_margin = float("inf")
-    for rec in active:
-        measured, bound, margin = record_margin(rec, freqs, params, tightened)
-        min_margin = min(min_margin, margin)
-        if margin < -tol:
-            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
-    return ViolationReport(
-        n_instances=len(active), violations=violations, min_margin=min_margin
-    )
+    return margin_report(active, freqs, params, tightened, tol)
 
 
 # -- simulated annealing fallback ------------------------------------------------
@@ -255,6 +247,12 @@ class _AnnealState:
             if rec.orientation_case is not None:
                 self.by_pair.setdefault(rec.gate_pair, []).append(i)
 
+        # bounded records resolved once: (qubit terms, constant, tightened bound)
+        self.forms = [
+            (*linear_form(rec, params.alpha), params.tightened_bound(rec.family))
+            if rec.family in BOUNDED_FAMILIES else None
+            for rec in records
+        ]
         self.margins = [0.0] * len(records)
         self.viol_sum = 0.0
         for i in range(len(records)):
@@ -266,7 +264,13 @@ class _AnnealState:
         rec = self.records[i]
         if rec.orientation_case is not None and self.orient[rec.gate_pair] != rec.orientation_case:
             return float("inf")  # inactive records never contribute
-        return record_margin(rec, self.freqs, self.params, tightened=True)[2]
+        if self.forms[i] is None:
+            return record_margin(rec, self.freqs, self.params, tightened=True)[2]
+        terms, const, bound = self.forms[i]
+        value = 0.0
+        for q, c in terms:
+            value += c * self.freqs[q]
+        return abs(value + const) - bound
 
     def energy(self) -> float:
         if self.viol_sum > 0:

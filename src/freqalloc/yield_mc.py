@@ -21,8 +21,8 @@ import numpy as np
 from .constraints import (
     ConstraintParams,
     FrequencyAssignment,
-    enumerate_records,
-    realized_orientation,
+    linear_form,
+    physical_records,
 )
 from .topology import Topology
 
@@ -127,68 +127,28 @@ def _compile(topo: Topology, assignment: FrequencyAssignment, params: Constraint
     missing = [q for q in range(topo.n_qubits) if q not in assignment.frequencies]
     if missing:
         raise ValueError(f"assignment lacks frequencies for qubits {missing[:5]}")
-    orient = realized_orientation(topo, assignment)
-    fixed = Topology(
-        n_qubits=topo.n_qubits,
-        edges=list(topo.edges),
-        geometry=topo.geometry,
-        orientation=orient,
-        wrap_tags=dict(topo.wrap_tags),
-    )
-    base = ConstraintParams(
-        base_bounds=dict(params.base_bounds),
-        alpha=params.alpha,
-        eps_tol={},
-        delta_diff=0.0,
-        f_window=params.f_window,
-        c1_enabled=params.c1_enabled,
-        diff_separation=params.diff_separation,
-    )
-    records = enumerate_records(fixed, "fixed", base)
-
-    a = params.alpha
-    rows = []
+    idx, coef, consts, bounds = [], [], [], []
     c1c, c1t = [], []
-    for rec in records:
-        p = rec.participants
-        fam = rec.family
-        if fam == "C1":
-            c1c.append(p[0])
-            c1t.append(p[1])
+    for rec in physical_records(topo, assignment, params):
+        if rec.family == "C1":
+            c1c.append(rec.participants[0])
+            c1t.append(rec.participants[1])
             continue
-        if fam in ("A1", "A2"):
-            idx, coef = (p[0], p[1], 0), (1.0, -1.0, 0.0)
-            const = 0.0 if fam == "A1" else -a
-        elif fam in ("E1", "E2", "D1"):
-            idx, coef = (p[1], p[0], 0), (1.0, -1.0, 0.0)
-            const = {"E1": 0.0, "E2": -a, "D1": -a / 2.0}[fam]
-        elif fam in ("S1", "S2"):
-            idx, coef = (p[1], p[2], 0), (1.0, -1.0, 0.0)
-            const = 0.0 if fam == "S1" else -a
-        else:  # T1
-            idx, coef = (p[1], p[2], p[0]), (1.0, 1.0, -2.0)
-            const = -a
-        rows.append((idx, coef, const, base.base_bound(fam)))
-
-    if rows:
-        abs_idx = np.array([r[0] for r in rows], dtype=np.intp)
-        abs_coef = np.array([r[1] for r in rows])
-        abs_const = np.array([r[2] for r in rows])
-        abs_bound = np.array([r[3] for r in rows])
-    else:
-        abs_idx = np.zeros((0, 3), dtype=np.intp)
-        abs_coef = np.zeros((0, 3))
-        abs_const = np.zeros(0)
-        abs_bound = np.zeros(0)
+        terms, const = linear_form(rec, params.alpha)
+        terms += [(0, 0.0)] * (3 - len(terms))
+        idx.append([q for q, _ in terms])
+        coef.append([c for _, c in terms])
+        consts.append(const)
+        bounds.append(params.base_bound(rec.family))
     return _Compiled(
         n_qubits=topo.n_qubits,
-        abs_idx=abs_idx,
-        abs_coef=abs_coef,
-        abs_const=abs_const,
-        abs_bound=abs_bound,
+        abs_idx=np.array(idx, dtype=np.intp).reshape(-1, 3),
+        abs_coef=np.array(coef, dtype=float).reshape(-1, 3),
+        abs_const=np.array(consts, dtype=float),
+        abs_bound=np.array(bounds, dtype=float),
         c1_ctrl=np.array(c1c, dtype=np.intp),
         c1_tgt=np.array(c1t, dtype=np.intp),
-        alpha=a,
+        alpha=params.alpha,
     )
 
 

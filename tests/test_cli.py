@@ -1,10 +1,13 @@
 """End-to-end command-line pipelines over temp files."""
+import argparse
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from freqalloc.assembly import ChipAssembly
+from freqalloc import cli
 from freqalloc.cli import ConfigError, main, parse_budget, parse_pair, parse_sigmas
 from freqalloc.constraints import default_params, enumerate_records, uniform_tightening
 from freqalloc.model import Solution, build, export_lp
@@ -299,6 +302,25 @@ def test_assemble_mismatched_bc_exit_4(tmp_path):
     assert report["all_violations_on_seams"] is True
 
 
+def test_assemble_tiles_a_feasible_unit_once(tmp_path, monkeypatch):
+    unit_path = tmp_path / "unit.json"
+    assert main(["topo", "--kind", "square", "--rows", "3", "--cols", "3",
+                 "--out", str(unit_path)]) == 0
+    sol_path = write_unit_solution(tmp_path)
+    real_tile = cli.tile
+    calls = []
+
+    def counting_tile(*args, **kwargs):
+        calls.append(args)
+        return real_tile(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tile", counting_tile)
+    assert main(["assemble", "--unit", str(unit_path), "--solution", str(sol_path),
+                 "--bc", "PBC1", "--nx", "2", "--ny", "2",
+                 "--out", str(tmp_path / "chip")]) == 0
+    assert len(calls) == 1
+
+
 def test_assemble_rejects_wrapped_unit(tmp_path):
     wrapped_path = tmp_path / "wrapped.json"
     assert main(["topo", "--kind", "square", "--rows", "3", "--cols", "3",
@@ -307,6 +329,21 @@ def test_assemble_rejects_wrapped_unit(tmp_path):
     assert main(["assemble", "--unit", str(wrapped_path), "--solution", str(sol_path),
                  "--bc", "PBC1", "--nx", "2", "--ny", "2",
                  "--out", str(tmp_path / "chip")]) == 2
+
+
+def test_loading_inputs_closes_files(tmp_path, grid22):
+    sol_path = write_unit_solution(tmp_path)
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(default_params().to_json_dict()))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"yield": {"trials": 10}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli._load_topology(str(grid22))
+        cli._load_solution(str(sol_path))
+        cli.RunConfig.load(str(config_path))
+        cli._effective_params(argparse.Namespace(params=str(params_path)), cli.RunConfig())
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_missing_files_exit_2(tmp_path):

@@ -287,3 +287,16 @@ def test_measured_value_t1_uses_control_twice() -> None:
     # (control, target, spectator) = (0, 1, 2)
     freqs = {0: 5100.0, 1: 5000.0, 2: 4950.0}
     assert measured_value(t1, freqs, p) == pytest.approx(abs(5000 + 4950 - 2 * 5100 + 350))
+
+
+@pytest.mark.parametrize("window, alpha", [((5000.0, 5500.0), -350.0), ((4800.0, 5650.0), -217.0)])
+def test_max_measure_matches_hand_formulas(window, alpha) -> None:
+    p = ConstraintParams(f_window=window, alpha=alpha)
+    w, a = window[1] - window[0], abs(alpha)
+    want = {
+        "A1": w, "E1": w, "S1": w,
+        "A2": w + a, "E2": w + a, "S2": w + a,
+        "D1": w + a / 2.0,
+        "T1": 2.0 * w + a,
+    }
+    assert {fam: p.max_measure(fam) for fam in want} == want
