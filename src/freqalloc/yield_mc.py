@@ -9,10 +9,16 @@ by (seed, counter = t * 2^64), so success counts are identical whether
 trials run serially, in blocks, or across processes, and a smaller sigma
 reuses the same standard normals (common random numbers) scaled down.
 Exact streams are not part of the contract; confidence intervals are.
+
+Memory is bounded: trials run in blocks of about _WORK_BYTES of noise, and
+each block walks the instances in chunks of the same size, so the working
+set grows with n_qubits x block, not with instances x trials.  The chunking
+does not change any count.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -76,6 +82,10 @@ class YieldEstimate:
         }
 
 
+# Bytes per float64 temporary of the trial kernel: one noise block, or one
+# instance chunk of a block.  Small enough to stay in cache.
+_WORK_BYTES = 1 << 18
+
 CSV_HEADER = "sigma,trials,successes,yield,ci_lo,ci_hi"
 
 
@@ -89,6 +99,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial * 2**64))
 
 
+def _check_sigma(sigma: float) -> None:
+    # a NaN sigma would fail no comparison and report every trial a success
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
+
+
 def sample_perturbation(
     assignment: FrequencyAssignment, sigma: float, rng: np.random.Generator
 ) -> FrequencyAssignment:
@@ -97,8 +113,7 @@ def sample_perturbation(
     Draws are consumed in ascending qubit-id order; orientations pass
     through untouched.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check_sigma(sigma)
     qubits = sorted(assignment.frequencies)
     noise = rng.standard_normal(len(qubits))
     freqs = {q: assignment.frequencies[q] + sigma * float(noise[i]) for i, q in enumerate(qubits)}
@@ -153,25 +168,43 @@ def _compile(topo: Topology, assignment: FrequencyAssignment, params: Constraint
 
 
 def _eval_block(comp: _Compiled, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(success flags, violated-instance counts) for a (B, n_qubits) block."""
-    viol = np.zeros(freqs.shape[0], dtype=np.int64)
-    if len(comp.abs_bound):
-        expr = np.einsum("bij->bi", freqs[:, comp.abs_idx] * comp.abs_coef) + comp.abs_const
-        bad = np.abs(expr) < comp.abs_bound
-        viol += bad.sum(axis=1)
-    if len(comp.c1_ctrl):
-        fc = freqs[:, comp.c1_ctrl]
-        ft = freqs[:, comp.c1_tgt]
-        bad = np.minimum(fc - ft, ft - fc - comp.alpha) < 0.0
-        viol += bad.sum(axis=1)
+    """(success flags, violated-instance counts) for a (B, n_qubits) block.
+
+    The block is held qubit-major and the instances are walked in chunks
+    whose float64 temporaries take about _WORK_BYTES each, so the working
+    set does not grow with the instance count.  Each expression is summed
+    in the order ((c0*x0 + c1*x1) + c2*x2) + const.  The indices come from
+    _compile and are in range, so take may skip its buffered bounds check.
+    """
+    x = np.ascontiguousarray(freqs.T)
+    b = x.shape[1]
+    viol = np.zeros(b, dtype=np.int64)
+    step = max(1, _WORK_BYTES // (8 * b))
+    expr, term = np.empty((step, b)), np.empty((step, b))
+    for lo in range(0, len(comp.abs_bound), step):
+        idx, coef = comp.abs_idx[lo:lo + step], comp.abs_coef[lo:lo + step]
+        e, t = expr[:len(idx)], term[:len(idx)]
+        np.take(x, idx[:, 0], axis=0, out=e, mode="clip")
+        e *= coef[:, 0, None]
+        for j in (1, 2):
+            np.take(x, idx[:, j], axis=0, out=t, mode="clip")
+            t *= coef[:, j, None]
+            e += t
+        e += comp.abs_const[lo:lo + step, None]
+        viol += np.count_nonzero(np.abs(e, out=e) < comp.abs_bound[lo:lo + step, None], axis=0)
+    for lo in range(0, len(comp.c1_ctrl), step):
+        ctrl, tgt = comp.c1_ctrl[lo:lo + step], comp.c1_tgt[lo:lo + step]
+        fc = np.take(x, ctrl, axis=0, out=expr[:len(ctrl)], mode="clip")
+        ft = np.take(x, tgt, axis=0, out=term[:len(tgt)], mode="clip")
+        viol += np.count_nonzero(np.minimum(fc - ft, ft - fc - comp.alpha) < 0.0, axis=0)
     return viol == 0, viol
 
 
 def _run_trials(
     comp: _Compiled, base: np.ndarray, sigma: float, seed: int, start: int, count: int,
-    block: int = 4096,
 ) -> tuple[int, int]:
     """Trials [start, start+count): (successes, total violated instances)."""
+    block = max(1, _WORK_BYTES // (8 * comp.n_qubits))
     successes = 0
     viol_total = 0
     done = 0
@@ -199,20 +232,20 @@ def estimate_yield(
     """Fraction of perturbed copies with zero base-bound violations.
 
     Per-trial substreams make the result a pure function of (seed, sigma,
-    trials): n_jobs only shards the trial range across processes.  An
-    infeasible unperturbed assignment is fine; its yield is just low.
+    trials): n_jobs, capped at the CPU count, only shards the trial range
+    across processes.  An infeasible unperturbed assignment is fine; its
+    yield is just low.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check_sigma(sigma)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     comp = _compile(topo, assignment, params)
     base = np.array([assignment.frequencies[q] for q in range(topo.n_qubits)])
 
+    n_jobs = min(n_jobs, trials, os.cpu_count() or 1)
     if n_jobs <= 1:
         successes, viol = _run_trials(comp, base, sigma, seed, 0, trials)
     else:
-        n_jobs = min(n_jobs, trials)
         sizes = [trials // n_jobs + (1 if i < trials % n_jobs else 0) for i in range(n_jobs)]
         starts = [sum(sizes[:i]) for i in range(n_jobs)]
         successes = viol = 0
@@ -277,10 +310,10 @@ def threshold_dispersion(
     if not 0.0 < target_yield < 1.0:
         raise ValueError("target_yield must lie in (0, 1)")
     lo, hi = sigma_bracket
-    if not 0.0 <= lo < hi:
-        raise ValueError("sigma_bracket must satisfy 0 <= lo < hi")
-    if tol_mhz <= 0:
-        raise ValueError("tol_mhz must be > 0")
+    if not (math.isfinite(hi) and 0.0 <= lo < hi):
+        raise ValueError("sigma_bracket must be finite with 0 <= lo < hi")
+    if not (math.isfinite(tol_mhz) and tol_mhz > 0):
+        raise ValueError("tol_mhz must be finite and > 0")
 
     def probe(sigma: float) -> tuple[YieldEstimate, str]:
         t = trials

@@ -263,6 +263,17 @@ def test_threshold_bad_bracket_exit_2(tmp_path, grid22):
                  "--max-trials", "2000"]) == 2
 
 
+def test_non_finite_sigma_and_bracket_exit_2(tmp_path):
+    topo = tmp_path / "unit.json"
+    assert main(["topo", "--kind", "square", "--rows", "4", "--cols", "4",
+                 "--bc", "PBC1", "--out", str(topo)]) == 0
+    sol = tmp_path / "unit_sol.json"
+    sol.write_text(json.dumps(json.loads((UNIT_DIR / "pbc1_4x4.json").read_text())["solution"]))
+    common = ["--topology", str(topo), "--solution", str(sol), "--trials", "100"]
+    assert main(["yield", *common, "--sigma", "nan"]) == 2
+    assert main(["threshold", *common, "--target", "0.5", "--bracket", "1:inf"]) == 2
+
+
 # -- assemble ----------------------------------------------------------------------
 
 

@@ -1,14 +1,26 @@
 """Monte Carlo yield, threshold search, and composition."""
 import dataclasses
 import json
+import math
+import pathlib
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from freqalloc.constraints import FrequencyAssignment, default_params, enumerate_records
+from freqalloc import yield_mc
+from freqalloc.assembly import preset_bc, tile
+from freqalloc.constraints import (
+    FrequencyAssignment,
+    check,
+    default_params,
+    enumerate_records,
+    physical_records,
+)
 from freqalloc.milp_adapter import solve_lp
-from freqalloc.model import build, export_lp, import_solution
-from freqalloc.topology import Topology, square_grid
+from freqalloc.model import Solution, build, export_lp, import_solution
+from freqalloc.topology import Topology, square_grid, wrap
 from freqalloc.yield_mc import (
     CSV_HEADER,
     BracketError,
@@ -45,6 +57,12 @@ def full_pair():
         frequencies={0: 5100.0, 1: 5220.0}, orientations={(0, 1): 1}
     )
     return topo, asg
+
+
+def pbc1_4x4_unit():
+    path = pathlib.Path(__file__).parent / "fixtures" / "units" / "pbc1_4x4.json"
+    d = json.loads(path.read_text())
+    return square_grid(4, 4), Solution.from_json_dict(d["solution"])
 
 
 def solved_2x2():
@@ -182,6 +200,85 @@ def test_estimate_validation():
         estimate_yield(incomplete, topo, p, sigma=1.0, trials=10)
 
 
+def test_sigma_must_be_finite():
+    topo, asg = full_pair()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            estimate_yield(asg, topo, default_params(), sigma=bad, trials=10)
+        with pytest.raises(ValueError):
+            sample_perturbation(asg, bad, np.random.default_rng(0))
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(yield_mc, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(yield_mc.os, "cpu_count", lambda: 3)
+    topo, asg = full_pair()
+    p = default_params()
+    serial = estimate_yield(asg, topo, p, sigma=15.0, trials=1000, seed=7)
+    sharded = estimate_yield(asg, topo, p, sigma=15.0, trials=1000, seed=7, n_jobs=5000)
+    assert workers == [3]
+    assert sharded == serial
+
+
+def test_chunked_kernel_matches_einsum_and_check(monkeypatch):
+    unit, sol = pbc1_4x4_unit()
+    topo, asg, p = wrap(unit, preset_bc("PBC1")), sol.as_assignment(), default_params()
+    comp = yield_mc._compile(topo, asg, p)
+    rng = np.random.default_rng(25)
+    perturbed = [asg] + [sample_perturbation(asg, 25.0, rng) for _ in range(39)]
+    freqs = np.array([[a.frequencies[q] for q in range(topo.n_qubits)] for a in perturbed])
+    unchunked = estimate_yield(asg, topo, p, sigma=25.0, trials=40, seed=3)
+
+    # 5-instance chunks for a 40-trial block; 12-trial blocks of 16 qubits (12, 12, 12, 4)
+    monkeypatch.setattr(yield_mc, "_WORK_BYTES", 5 * 8 * 40)
+    families = [r.family for r in physical_records(topo, asg, p) if r.family != "C1"]
+    assert any(len(set(families[i:i + 5])) > 1 for i in range(0, len(families), 5))
+    assert len(comp.abs_bound) % 5 and len(comp.c1_ctrl) % 5
+    ok, viol = yield_mc._eval_block(comp, freqs)
+
+    expr = np.einsum("bij->bi", freqs[:, comp.abs_idx] * comp.abs_coef) + comp.abs_const
+    fc, ft = freqs[:, comp.c1_ctrl], freqs[:, comp.c1_tgt]
+    einsum_viol = ((np.abs(expr) < comp.abs_bound).sum(axis=1)
+                   + (np.minimum(fc - ft, ft - fc - comp.alpha) < 0.0).sum(axis=1))
+    assert viol.tolist() == einsum_viol.tolist()
+    reports = [check(topo, a, p) for a in perturbed]
+    assert viol.tolist() == [len(r.violations) for r in reports]
+    assert ok.tolist() == [r.ok for r in reports] and ok[0] and not ok[1:].all()
+    assert estimate_yield(asg, topo, p, sigma=25.0, trials=40, seed=3) == unchunked
+
+
+def test_chip_yield_memory_is_bounded():
+    unit, sol = pbc1_4x4_unit()
+    p = default_params()
+    chip = tile(unit, sol, preset_bc("PBC1"), 8, 8, p)
+    assert chip.chip_topology.n_qubits == 1024
+    tracemalloc.start()
+    try:
+        estimate_yield(chip.chip_assignment, chip.chip_topology, p,
+                       sigma=1.75, trials=1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
 # -- YieldEstimate container ------------------------------------------------------
 
 
@@ -263,3 +360,13 @@ def test_threshold_argument_validation():
     with pytest.raises(ValueError):
         threshold_dispersion(asg, grid, p, target_yield=0.5, trials=100,
                              sigma_bracket=(1.0, 10.0), tol_mhz=0.0)
+
+
+def test_threshold_rejects_non_finite_arguments():
+    # an infinite endpoint used to bisect forever: the midpoint stays inf
+    topo, asg = full_pair()
+    for bracket, tol in [((1.0, math.inf), 0.1), ((math.nan, 10.0), 0.1),
+                         ((1.0, 10.0), math.nan), ((1.0, 10.0), math.inf)]:
+        with pytest.raises(ValueError):
+            threshold_dispersion(asg, topo, default_params(), target_yield=0.5, trials=100,
+                                 sigma_bracket=bracket, tol_mhz=tol)
