@@ -45,19 +45,18 @@ PRESET_TABLE: dict[str, dict] = {
 }
 
 
-def preset_bc(name: str, table: dict[str, dict] | None = None) -> BoundaryCondition:
+def preset_bc(name: str) -> BoundaryCondition:
     """Named boundary condition; y wrap is plain for every preset.
 
     Raises:
         ValueError: unknown name, or "custom" (custom conditions carry
             explicit parameters and are built directly).
     """
-    table = PRESET_TABLE if table is None else table
     if name == "custom":
         raise ValueError("custom boundary conditions need explicit parameters")
-    if name not in table:
-        raise ValueError(f"unknown boundary condition {name!r}; presets: {sorted(table)}")
-    entry = table[name]
+    if name not in PRESET_TABLE:
+        raise ValueError(f"unknown boundary condition {name!r}; presets: {sorted(PRESET_TABLE)}")
+    entry = PRESET_TABLE[name]
     return BoundaryCondition(
         name=name,
         x=AxisWrap(shift=int(entry["x_shift"]), flip=bool(entry["x_flip"])),
@@ -180,13 +179,9 @@ def tile(
 
     # row_map[k] is the unit row occupied by local row r after k boundary
     # crossings to the right
-    def x_image(r: int) -> int:
-        r2 = (rows - 1 - r) if bc.x.flip else r
-        return (r2 + bc.x.shift) % rows
-
     row_map = [list(range(rows))]
     for _ in range(1, nx):
-        row_map.append([x_image(r) for r in row_map[-1]])
+        row_map.append([bc.x.image(r, rows) for r in row_map[-1]])
 
     big_rows, big_cols = rows * ny, cols * nx
 

@@ -31,7 +31,7 @@ from .constraints import (
     enumerate_records,
     uniform_tightening,
 )
-from .model import ModelIR, Solution, SolutionParseError, build, export_lp
+from .model import Solution, SolutionParseError, build, export_lp
 from .solve import SolverConfig, SolverFailure, solve_anneal, solve_external, verify
 from .topology import BoundaryCondition, Topology, hex_grid, hex_rings, square_grid, wrap
 from .yield_mc import (
@@ -250,13 +250,11 @@ def _assignment_for(topo: Topology, sol: Solution, params: ConstraintParams):
     return _fill_isolated(topo, sol, params).as_assignment()
 
 
-def _build_model(topo: Topology, params: ConstraintParams, args, cfg: RunConfig) -> ModelIR:
+def _model_inputs(topo: Topology, params: ConstraintParams, args, cfg: RunConfig):
+    """Model mode, its records and the big-M override; enumerate_records rejects a bad mode."""
     mode = cfg.model.get("mode", args.mode)
-    if mode not in ("fixed", "free"):
-        raise ConfigError(f"mode must be fixed or free, got {mode!r}")
     big_m = cfg.model.get("big_m", getattr(args, "big_m", None))
-    records = enumerate_records(topo, mode, params)
-    return build(topo, records, params, mode, big_m=big_m)
+    return mode, enumerate_records(topo, mode, params), big_m
 
 
 # -- subcommands --------------------------------------------------------------
@@ -292,7 +290,8 @@ def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
 def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    model = _build_model(topo, params, args, cfg)
+    mode, records, big_m = _model_inputs(topo, params, args, cfg)
+    model = build(topo, records, params, mode, big_m=big_m)
     out = _out_path(args, cfg)
     _write_text(out, export_lp(model), argv)
     print(f"wrote {out}: {len(model.variables)} variables, {len(model.rows)} rows, "
@@ -321,12 +320,12 @@ def _solver_config(args, cfg: RunConfig) -> SolverConfig:
 def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    model = _build_model(topo, params, args, cfg)
+    mode, records, big_m = _model_inputs(topo, params, args, cfg)
     scfg = _solver_config(args, cfg)
     if scfg.backend == "external":
-        sol = solve_external(model, scfg)
-    else:
-        sol = solve_anneal(model.records, params, scfg)
+        sol = solve_external(build(topo, records, params, mode, big_m=big_m), scfg)
+    else:  # big_m sizes MILP rows only
+        sol = solve_anneal(records, params, scfg)
     sol = _fill_isolated(topo, sol, params)
     out = _out_path(args, cfg)
     _write_json(out, sol.to_json_dict(), argv)
@@ -371,13 +370,8 @@ def _yield_opts(args, cfg: RunConfig) -> dict:
     return merged
 
 
-def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
-    params = _effective_params(args, cfg)
-    assignment = _assignment_for(topo, _load_solution(args.solution), params)
-    opts = _yield_opts(args, cfg)
-    if opts["sigma"] is None:
-        raise ConfigError("no dispersion levels: pass --sigma or set yield.sigma")
+def _yield_csv(assignment, topo: Topology, params: ConstraintParams, opts: dict) -> str:
+    """The yield CSV, one row per dispersion level of opts["sigma"]."""
     sigmas = opts["sigma"] if isinstance(opts["sigma"], list) else parse_sigmas(str(opts["sigma"]))
     lines = [CSV_HEADER]
     for sigma in sigmas:
@@ -385,11 +379,22 @@ def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
                              trials=int(opts["trials"]), seed=int(opts["seed"]),
                              n_jobs=int(opts["jobs"]))
         lines.append(csv_row(est))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
+    topo = _load_topology(args.topology)
+    params = _effective_params(args, cfg)
+    assignment = _assignment_for(topo, _load_solution(args.solution), params)
+    opts = _yield_opts(args, cfg)
+    if opts["sigma"] is None:
+        raise ConfigError("no dispersion levels: pass --sigma or set yield.sigma")
+    text = _yield_csv(assignment, topo, params, opts)
     out = _out_path(args, cfg, required=False)
     if out:
         _write_text(out, text, argv)
-        print(f"wrote {out}: {len(sigmas)} dispersion levels x {opts['trials']} trials")
+        levels = len(text.splitlines()) - 1
+        print(f"wrote {out}: {levels} dispersion levels x {opts['trials']} trials")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -455,14 +460,8 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
 
     opts = _yield_opts(args, cfg)
     if opts["sigma"] is not None:
-        sigmas = opts["sigma"] if isinstance(opts["sigma"], list) else parse_sigmas(str(opts["sigma"]))
-        lines = [CSV_HEADER]
-        for sigma in sigmas:
-            est = estimate_yield(asm.chip_assignment, asm.chip_topology, params,
-                                 sigma=float(sigma), trials=int(opts["trials"]),
-                                 seed=int(opts["seed"]), n_jobs=int(opts["jobs"]))
-            lines.append(csv_row(est))
-        _write_text(prefix + ".yield.csv", "\n".join(lines) + "\n", argv)
+        text = _yield_csv(asm.chip_assignment, asm.chip_topology, params, opts)
+        _write_text(prefix + ".yield.csv", text, argv)
 
     big_rows = asm.unit_geometry[0] * asm.reps[1]
     big_cols = asm.unit_geometry[1] * asm.reps[0]
@@ -590,10 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SolutionParseError as exc:
+    except (SolverFailure, SolutionParseError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, BracketError, ValueError, OSError) as exc:

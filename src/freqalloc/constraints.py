@@ -28,14 +28,13 @@ summation order of the yield sums, so reordering terms changes artifacts.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .topology import Edge, Topology, edge_key, parse_edge_key
 
 # Families carrying a slack lower bound, in canonical emission order.
 BOUNDED_FAMILIES = ("A1", "A2", "E1", "E2", "D1", "S1", "S2", "T1")
-ALL_FAMILIES = ("A1", "A2", "C1", "E1", "E2", "D1", "S1", "S2", "T1")
 
 DEFAULT_BOUNDS = {
     "A1": 17.0,
@@ -91,6 +90,10 @@ class ConstraintParams:
     diff_separation: bool = True
 
     def __post_init__(self) -> None:
+        numbers = [*self.base_bounds.values(), *self.eps_tol.values(),
+                   self.alpha, self.delta_diff, *self.f_window]
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError("bounds, tightenings, alpha, delta_diff and f_window must be finite")
         for fam, b in self.base_bounds.items():
             if fam not in BOUNDED_FAMILIES:
                 raise ValueError(f"unknown bounded family {fam!r}")
@@ -199,8 +202,13 @@ class FrequencyAssignment:
 
     @staticmethod
     def from_json_dict(d: dict) -> "FrequencyAssignment":
+        """Raises ValueError for a frequency that is not finite."""
+        freqs = {int(q): float(f) for q, f in d["frequencies_mhz"].items()}
+        bad = sorted(q for q, f in freqs.items() if not math.isfinite(f))
+        if bad:
+            raise ValueError(f"non-finite frequencies for qubits {bad[:5]}")
         return FrequencyAssignment(
-            frequencies={int(q): float(f) for q, f in d["frequencies_mhz"].items()},
+            frequencies=freqs,
             orientations={parse_edge_key(k): int(v) for k, v in d.get("orientations", {}).items()},
         )
 
@@ -443,8 +451,3 @@ def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintPar
     """
     records = physical_records(topo, assignment, params)
     return margin_report(records, assignment.frequencies, params, tightened=False)
-
-
-def load_params(path: str) -> ConstraintParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ConstraintParams.from_json_dict(json.load(fh))

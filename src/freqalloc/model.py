@@ -24,6 +24,7 @@ binaries, numbered in emission order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .constraints import (
@@ -33,7 +34,7 @@ from .constraints import (
     FrequencyAssignment,
     linear_form,
 )
-from .topology import Edge, Topology, edge_key
+from .topology import Edge, Topology
 
 
 class SolutionParseError(ValueError):
@@ -79,20 +80,19 @@ class Solution:
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
-            "frequencies_mhz": {str(q): f for q, f in sorted(self.frequencies.items())},
-            "orientations": {edge_key(*e): bit for e, bit in sorted(self.orientations.items())},
+            **self.as_assignment().to_json_dict(),
             "slacks_mhz": dict(sorted(self.slacks.items())),
             "objective_mhz": self.objective_value,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "Solution":
-        from .topology import parse_edge_key
-
+        # the assignment part is an assignment file; unsolved statuses may omit it
+        assignment = FrequencyAssignment.from_json_dict({"frequencies_mhz": {}, **d})
         return Solution(
             status=str(d["status"]),
-            frequencies={int(q): float(f) for q, f in d.get("frequencies_mhz", {}).items()},
-            orientations={parse_edge_key(k): int(v) for k, v in d.get("orientations", {}).items()},
+            frequencies=assignment.frequencies,
+            orientations=assignment.orientations,
             slacks={str(k): float(v) for k, v in d.get("slacks_mhz", {}).items()},
             objective_value=None if d.get("objective_mhz") is None else float(d["objective_mhz"]),
         )
@@ -107,8 +107,6 @@ class ModelIR:
     variables: list[VarDef]
     rows: list[RowDef]
     objective: dict[str, float]
-    big_m: float
-    records: list[ConstraintRecord]
     slack_vars: dict[str, str]          # family -> variable name
     slack_base: dict[str, float]        # family -> base bound (objective offset)
     orientation_vars: dict[Edge, str]   # free mode
@@ -124,6 +122,19 @@ class ModelIR:
 def default_big_m(params: ConstraintParams) -> float:
     """Safe default: twice the largest expression magnitude plus margin."""
     return 2.0 * max(params.max_measure(fam) for fam in BOUNDED_FAMILIES) + 100.0
+
+
+def _gated(row: RowDef, gate: tuple[str, int] | None, big_m: float) -> RowDef:
+    """Relax the row by M*o (case 0) or M*(1-o) (case 1) in the direction of its sense."""
+    if gate is not None:
+        ovar, case = gate
+        relax = big_m if row.sense == ">=" else -big_m
+        if case == 0:
+            row.coeffs[ovar] = relax
+        else:
+            row.coeffs[ovar] = -relax
+            row.rhs -= relax
+    return row
 
 
 def linearize_abs_geq(
@@ -154,19 +165,9 @@ def linearize_abs_geq(
     else:
         rhs_pos += bound
         rhs_neg += bound
-    if gate is not None:
-        ovar, case = gate
-        if case == 0:
-            pos[ovar] = pos.get(ovar, 0.0) + big_m
-            neg[ovar] = neg.get(ovar, 0.0) + big_m
-        else:
-            pos[ovar] = pos.get(ovar, 0.0) - big_m
-            neg[ovar] = neg.get(ovar, 0.0) - big_m
-            rhs_pos -= big_m
-            rhs_neg -= big_m
     return [
-        RowDef(name + "_p", pos, ">=", rhs_pos),
-        RowDef(name + "_n", neg, ">=", rhs_neg),
+        _gated(RowDef(name + "_p", pos, ">=", rhs_pos), gate, big_m),
+        _gated(RowDef(name + "_n", neg, ">=", rhs_neg), gate, big_m),
     ]
 
 
@@ -220,11 +221,7 @@ def build(
 
     orientation_vars: dict[Edge, str] = {}
     if mode == "free":
-        seen = set()
-        for pair in topo.edges:
-            if pair not in seen:
-                seen.add(pair)
-                orientation_vars[pair] = f"o_{pair[0]}_{pair[1]}"
+        orientation_vars = {pair: f"o_{pair[0]}_{pair[1]}" for pair in topo.edges}
 
     rows: list[RowDef] = []
     binaries: list[str] = []
@@ -268,21 +265,10 @@ def build(
             ctrl, tgt = rec.participants
             eps = params.tightening("C1")
             i = row_index("C1")
-            hi_coeffs = {f"f_{tgt}": 1.0, f"f_{ctrl}": -1.0}
-            lo_coeffs = {f"f_{tgt}": 1.0, f"f_{ctrl}": -1.0}
-            rhs_hi = -eps
-            rhs_lo = params.alpha + eps
+            drive = {f"f_{tgt}": 1.0, f"f_{ctrl}": -1.0}
             gate = gate_for(rec)
-            if gate is not None:
-                ovar, case = gate
-                sign = 1.0 if case == 0 else -1.0
-                hi_coeffs[ovar] = -M * sign
-                lo_coeffs[ovar] = M * sign
-                if case == 1:
-                    rhs_hi += M
-                    rhs_lo -= M
-            rows.append(RowDef(f"C1_{i}_hi", hi_coeffs, "<=", rhs_hi))
-            rows.append(RowDef(f"C1_{i}_lo", lo_coeffs, ">=", rhs_lo))
+            rows.append(_gated(RowDef(f"C1_{i}_hi", dict(drive), "<=", -eps), gate, M))
+            rows.append(_gated(RowDef(f"C1_{i}_lo", drive, ">=", params.alpha + eps), gate, M))
         elif fam == "DIFF":
             e_k = topo.edges[rec.edge_indexes[0]]
             e_l = topo.edges[rec.edge_indexes[1]]
@@ -331,8 +317,6 @@ def build(
         variables=variables,
         rows=rows,
         objective={slack_vars[fam]: 1.0 for fam in fams_present},
-        big_m=M,
-        records=list(records),
         slack_vars=slack_vars,
         slack_base=slack_base,
         orientation_vars=orientation_vars,
@@ -408,7 +392,8 @@ def import_solution(text: str, model: ModelIR) -> Solution:
     from the model's fixed orientation otherwise.
 
     Raises:
-        SolutionParseError: malformed JSON, unknown status, missing variables.
+        SolutionParseError: malformed JSON, unknown status, missing variables,
+            a value that is not a finite number.
         IntegralityError: a binary farther than 1e-6 from {0, 1}.
     """
     try:
@@ -436,6 +421,8 @@ def import_solution(text: str, model: ModelIR) -> Solution:
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise SolutionParseError(f"value of {v.name} is not a number")
         x = float(raw)
+        if not math.isfinite(x):
+            raise SolutionParseError(f"value of {v.name} is not finite")
         if v.kind == "B":
             nearest = round(x)
             if abs(x - nearest) > 1e-6 or nearest not in (0, 1):

@@ -9,11 +9,13 @@ record literally, with exact absolute values and no big-M encoding.
 from __future__ import annotations
 
 import math
+import os
 import random
 import shlex
+import signal
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .constraints import (
@@ -23,6 +25,7 @@ from .constraints import (
     ViolationReport,
     linear_form,
     margin_report,
+    measured_value,
     record_margin,
 )
 from .model import ModelIR, Solution, export_lp, import_solution
@@ -40,6 +43,8 @@ DEFAULT_ANNEAL = {
     "freq_step_mhz": 5.0,
 }
 _FINAL_TEMP = 1e-3
+
+TIMEOUT_GRACE_S = 10.0  # seconds a wrapper may run past its time budget
 
 
 @dataclass
@@ -110,8 +115,9 @@ def solve_external(model: ModelIR, cfg: SolverConfig) -> Solution:
     and {out} substituted (and {budget} if present).  Temp files live in a
     private directory under the usual TMPDIR rules.  A wrapper that exits
     nonzero but still writes a solution file is trusted (solvers often exit
-    nonzero on infeasible models); no file means SolverFailure.  If the
-    subprocess outlives time_budget by a grace period it is killed and
+    nonzero on infeasible models); no file means SolverFailure.  A wrapper
+    that outlives time_budget by TIMEOUT_GRACE_S, or whose wait is
+    interrupted, is killed with its whole process group; after a timeout
     whatever solution file exists is used, else status is timeout.
     """
     if cfg.backend != "external":
@@ -129,23 +135,26 @@ def solve_external(model: ModelIR, cfg: SolverConfig) -> Solution:
             .replace("{budget}", format(cfg.time_budget, ".6g"))
             for tok in shlex.split(cfg.command_template)
         ]
-        timed_out = False
         try:
-            proc = subprocess.run(
-                tokens,
-                capture_output=True,
-                text=True,
-                timeout=cfg.time_budget + 10.0,
-            )
+            proc = subprocess.Popen(tokens, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True)
         except FileNotFoundError as exc:
             raise SolverFailure(f"solver command not found: {tokens[0]}") from exc
+        timed_out = False
+        try:
+            stdout, stderr = proc.communicate(timeout=cfg.time_budget + TIMEOUT_GRACE_S)
         except subprocess.TimeoutExpired:
             timed_out = True
+        finally:
+            # the wrapper's own children (the solver itself) share its process group
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
 
         if not out_path.exists():
             if timed_out:
                 return Solution(status="timeout")
-            tail = (proc.stderr or proc.stdout or "").strip()[-500:]
+            tail = (stderr or stdout or "").strip()[-500:]
             raise SolverFailure(
                 f"solver exited {proc.returncode} without a solution file: {tail}"
             )
@@ -207,7 +216,12 @@ def _snap(value: float, lo: float, hi: float, step: float) -> float:
 
 
 class _AnnealState:
-    """Current assignment plus per-record margins, updated incrementally."""
+    """Current assignment plus per-record margins, updated incrementally.
+
+    A move is a list of (container, key, new value) edits of freqs (keyed by
+    qubit) or orient (keyed by coupler pair); touches maps each such key to
+    the records whose margin the edit can change.
+    """
 
     def __init__(
         self,
@@ -218,17 +232,19 @@ class _AnnealState:
     ):
         self.records = records
         self.params = params
-        qubits = sorted({q for rec in records for q in rec.participants})
-        self.qubits = qubits
+        self.qubits = sorted({q for rec in records for q in rec.participants})
         lo, hi = params.f_window
-        self.window = (lo, hi)
-        self.step = step
-        self.freqs = {q: _snap(rng.uniform(lo, hi), lo, hi, step) for q in qubits}
+        self.freqs = {q: _snap(rng.uniform(lo, hi), lo, hi, step) for q in self.qubits}
 
         cases: dict[Edge, set[int]] = {}
-        for rec in records:
+        self.touches: dict[int | Edge, list[int]] = {}
+        for i, rec in enumerate(records):
+            keys = set(rec.participants)
             if rec.orientation_case is not None:
                 cases.setdefault(rec.gate_pair, set()).add(rec.orientation_case)
+                keys.add(rec.gate_pair)
+            for key in keys:
+                self.touches.setdefault(key, []).append(i)
         self.orient: dict[Edge, int] = {}
         self.flippable: list[Edge] = []
         for pair in sorted(cases):
@@ -239,13 +255,6 @@ class _AnnealState:
             else:
                 self.orient[pair] = next(iter(options))
 
-        self.by_qubit: dict[int, list[int]] = {q: [] for q in qubits}
-        self.by_pair: dict[Edge, list[int]] = {}
-        for i, rec in enumerate(records):
-            for q in set(rec.participants):
-                self.by_qubit[q].append(i)
-            if rec.orientation_case is not None:
-                self.by_pair.setdefault(rec.gate_pair, []).append(i)
 
         # bounded records resolved once: (qubit terms, constant, tightened bound)
         self.forms = [
@@ -275,13 +284,19 @@ class _AnnealState:
     def energy(self) -> float:
         if self.viol_sum > 0:
             return self.viol_sum
-        finite = [m for m in self.margins if m != float("inf")]
-        if not finite:
-            return 0.0
-        return -1e-3 * min(finite)
+        return -1e-3 * min(self.margins)
 
-    def reevaluate(self, indexes: set[int]) -> None:
-        for i in indexes:
+    def apply(self, edits: list[tuple]) -> tuple[list[tuple], float]:
+        """Make the edits, re-evaluate the records they touch, and return the undo."""
+        touched: set[int] = set()
+        for _, key, _ in edits:
+            touched.update(self.touches[key])
+        undo = [(c, key, c[key]) for c, key, _ in edits]
+        undo += [(self.margins, i, self.margins[i]) for i in touched]
+        viol_before = self.viol_sum
+        for c, key, value in edits:
+            c[key] = value
+        for i in touched:
             old = self.margins[i]
             new = self._margin(i)
             if old < 0:
@@ -292,12 +307,12 @@ class _AnnealState:
         # incremental float drift must never fake (in)feasibility near zero
         if self.viol_sum < 1e-9:
             self.viol_sum = sum(-m for m in self.margins if m < 0)
+        return undo, viol_before
 
-    def touched_by_qubits(self, qs) -> set[int]:
-        out: set[int] = set()
-        for q in qs:
-            out.update(self.by_qubit[q])
-        return out
+    def undo(self, edits: list[tuple], viol_sum: float) -> None:
+        for c, key, value in edits:
+            c[key] = value
+        self.viol_sum = viol_sum
 
 
 def solve_anneal(
@@ -324,10 +339,6 @@ def solve_anneal(
     step = float(cfg.anneal["freq_step_mhz"])
     lo, hi = params.f_window
 
-    if not records:
-        return Solution(status="feasible", frequencies={}, orientations={}, slacks={},
-                        objective_value=0.0)
-
     state = _AnnealState(records, params, rng, step)
     if not state.qubits:
         return Solution(status="feasible", frequencies={}, orientations={}, slacks={},
@@ -347,32 +358,23 @@ def solve_anneal(
             kind = rng.random()
             if kind < 0.7 or (len(state.qubits) < 2 and not state.flippable):
                 q = rng.choice(state.qubits)
-                old = state.freqs[q]
-                new = _snap(old + rng.gauss(0.0, step), lo, hi, step)
-                if new == old:
+                new = _snap(state.freqs[q] + rng.gauss(0.0, step), lo, hi, step)
+                if new == state.freqs[q]:
                     continue
-                touched = state.touched_by_qubits([q])
-                state.freqs[q] = new
-                undo = lambda: state.freqs.__setitem__(q, old)
+                edits = [(state.freqs, q, new)]
             elif kind < 0.85 and state.flippable:
                 pair = rng.choice(state.flippable)
-                touched = set(state.by_pair[pair])
-                state.orient[pair] = 1 - state.orient[pair]
-                undo = lambda: state.orient.__setitem__(pair, 1 - state.orient[pair])
+                edits = [(state.orient, pair, 1 - state.orient[pair])]
             elif len(state.qubits) >= 2:
                 qa, qb = rng.sample(state.qubits, 2)
                 fa, fb = state.freqs[qa], state.freqs[qb]
                 if fa == fb:
                     continue
-                touched = state.touched_by_qubits([qa, qb])
-                state.freqs[qa], state.freqs[qb] = fb, fa
-                undo = lambda: state.freqs.update({qa: fa, qb: fb})
+                edits = [(state.freqs, qa, fb), (state.freqs, qb, fa)]
             else:
                 continue
 
-            before = [(i, state.margins[i]) for i in touched]
-            viol_before = state.viol_sum
-            state.reevaluate(touched)
+            saved = state.apply(edits)
             new_energy = state.energy()
             delta = new_energy - energy
             if delta <= 0 or rng.random() < math.exp(-delta / temp):
@@ -382,29 +384,17 @@ def solve_anneal(
                     best_freqs = dict(state.freqs)
                     best_orient = dict(state.orient)
             else:
-                undo()
-                for i, m in before:
-                    state.margins[i] = m
-                state.viol_sum = viol_before
+                state.undo(*saved)
         temp *= cooling
 
-    sol_freqs = best_freqs
-    sol_orient = best_orient
-    active = _active_records(records, sol_orient)
-    feasible = True
+    best = Solution(status="feasible", frequencies=best_freqs, orientations=best_orient)
+    feasible = verify(best, records, params, tightened=True, tol=0.0).ok
     fam_min: dict[str, float] = {}
-    for rec in active:
-        measured, _, margin = record_margin(rec, sol_freqs, params, tightened=True)
-        if margin < 0:
-            feasible = False
+    for rec in _active_records(records, best_orient):
         if rec.family in BOUNDED_FAMILIES:
+            measured = measured_value(rec, best_freqs, params)
             fam_min[rec.family] = min(fam_min.get(rec.family, float("inf")), measured)
     slacks = dict(sorted(fam_min.items()))
     objective = sum(v - params.base_bound(f) for f, v in slacks.items()) if feasible else None
-    return Solution(
-        status="feasible" if feasible else "timeout",
-        frequencies=sol_freqs,
-        orientations=sol_orient,
-        slacks=slacks,
-        objective_value=objective,
-    )
+    return replace(best, status="feasible" if feasible else "timeout", slacks=slacks,
+                   objective_value=objective)

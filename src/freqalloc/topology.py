@@ -47,6 +47,10 @@ class AxisWrap:
     flip: bool = False
     enabled: bool = True
 
+    def image(self, i: int, n: int) -> int:
+        """Where transverse coordinate i (of n) lands after one boundary crossing."""
+        return ((n - 1 - i if self.flip else i) + self.shift) % n
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -294,10 +298,9 @@ def wrap(topo: Topology, bc: BoundaryCondition) -> Topology:
     """Close a square unit cell onto itself according to bc.
 
     x wrap connects each right-boundary site (r, cols-1) to the
-    left-boundary site (X(r), 0) where X(r) = (rows-1-r + shift) % rows when
-    flipped, else (r + shift) % rows.  y wrap connects (rows-1, c) to
-    (0, (c + shift) % cols); flipping y is rejected.  New edges carry
-    wrap tags keyed by their index.
+    left-boundary site (bc.x.image(r, rows), 0); y wrap connects (rows-1, c)
+    to (0, bc.y.image(c, cols)), and flipping y is rejected.  New edges
+    carry wrap tags keyed by their index.
 
     Raises:
         ValueError: non-square geometry, extents < 2, or a wrap that would
@@ -312,22 +315,18 @@ def wrap(topo: Topology, bc: BoundaryCondition) -> Topology:
     def qid(r: int, c: int) -> int:
         return r * cols + c
 
-    def x_image(r: int) -> int:
-        r2 = (rows - 1 - r) if bc.x.flip else r
-        return (r2 + bc.x.shift) % rows
-
     edges = list(topo.edges)
     wrap_tags = dict(topo.wrap_tags)
     if bc.x.enabled:
         for r in range(rows):
-            a, b = qid(r, cols - 1), qid(x_image(r), 0)
+            a, b = qid(r, cols - 1), qid(bc.x.image(r, rows), 0)
             if a == b:
                 raise ValueError(f"x wrap maps row {r} onto itself")
             wrap_tags[len(edges)] = {"axis": "x", "via_bc": True}
             edges.append(_canon(a, b))
     if bc.y.enabled:
         for c in range(cols):
-            a, b = qid(rows - 1, c), qid(0, (c + bc.y.shift) % cols)
+            a, b = qid(rows - 1, c), qid(0, bc.y.image(c, cols))
             if a == b:
                 raise ValueError(f"y wrap maps column {c} onto itself")
             wrap_tags[len(edges)] = {"axis": "y", "via_bc": True}

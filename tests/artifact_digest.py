@@ -1,0 +1,158 @@
+"""Write a fixed set of CLI artifacts, so two source trees can be diffed byte for byte.
+
+Run from the repository root:
+
+    PYTHONPATH=src python -m tests.artifact_digest OUTDIR
+
+Every command runs in process through freqalloc.cli.main inside OUTDIR.
+The artifacts are LP files, anneal solutions (including windows, alpha,
+gap separations and grid steps that are not exact in binary), verify
+reports at base and tightened bounds, yield and threshold CSVs, and the
+chip, report and yield files of two tilings.  The .meta.json sidecars,
+which hold wall-clock data, are deleted; transcript.txt keeps each
+command's exit code, stdout and stderr.  Outputs from two trees then
+compare with
+
+    diff -r OLD_OUTDIR NEW_OUTDIR
+
+An empty diff proves that the two trees write identical artifacts for
+these commands.  The whole set takes well under a minute.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+from freqalloc.assembly import preset_bc
+from freqalloc.cli import main
+from freqalloc.topology import square_grid, uniform_orientation, wrap
+
+UNIT_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "units"
+
+# parameters whose window ends, alpha, tightening and gap separation are not exact in binary
+OFF_GRID_PARAMS = {
+    "f_window": [4800.1, 5300.7],
+    "alpha": -217.3,
+    "eps_tol": {fam: 7.3 for fam in ("A1", "A2", "E1", "E2", "S1", "S2", "T1")},
+    "delta_diff": 2.7,
+}
+
+
+def write_inputs() -> None:
+    """Parameter, config, fixed-orientation topology and unit solution files."""
+    files = {
+        "offgrid.params.json": OFF_GRID_PARAMS,
+        "c1off.params.json": {"c1_enabled": False, "diff_separation": False,
+                              "delta_diff": 3.0, "eps_tol": {"C1": 5.0, "A1": 4.0}},
+        "c1tight.params.json": {"eps_tol": {"C1": 6.0, "S1": 2.5}},
+        "quick.config.json": {"solver": {"anneal": {"cooling_rate": 0.97}}},
+        "p3step.config.json":
+            {"solver": {"anneal": {"cooling_rate": 0.97, "freq_step_mhz": 0.3}}},
+        "g2x2step.config.json":
+            {"solver": {"anneal": {"cooling_rate": 0.97, "freq_step_mhz": 0.7}}},
+        "pbc1_4x4.sol.json": json.loads((UNIT_DIR / "pbc1_4x4.json").read_text())["solution"],
+    }
+    for name, obj in files.items():
+        pathlib.Path(name).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    for name, topo in (("g2x2_fixed.json", square_grid(2, 2)),
+                       ("g3x3_pbc1_fixed.json", wrap(square_grid(3, 3), preset_bc("PBC1")))):
+        topo.orientation = uniform_orientation(topo)
+        pathlib.Path(name).write_text(topo.to_json())
+
+
+# (solution name, topology, seed, parameter flags, solver flags)
+ANNEALS = (
+    [(f"g2x2_eps10_s{s}", "g2x2", s, ["--eps-tol", "10"], []) for s in range(3)]
+    + [(f"p2_quick_s{s}", "p2", s, ["--eps-tol", "10"], ["--config", "quick.config.json"])
+       for s in range(8)]
+    + [(f"p3_offgrid_s{s}", "p3", s, ["--params", "offgrid.params.json"],
+        ["--config", "p3step.config.json"]) for s in range(4)]
+    + [("g2x2_offgrid_s0", "g2x2", 0, ["--params", "offgrid.params.json"],
+        ["--config", "g2x2step.config.json"]),
+       ("g2x2_fixed_s1", "g2x2_fixed", 1, ["--eps-tol", "5"], ["--mode", "fixed"])]
+)
+
+
+def commands() -> list[list[str]]:
+    """The digest's CLI commands, in order; later ones read earlier outputs."""
+    cmds = [
+        ["topo", "--rows", "2", "--cols", "2", "--out", "g2x2.json"],
+        ["topo", "--rows", "1", "--cols", "2", "--out", "p2.json"],
+        ["topo", "--rows", "1", "--cols", "3", "--out", "p3.json"],
+        ["topo", "--rows", "3", "--cols", "3", "--bc", "PBC1", "--out", "g3x3_pbc1.json"],
+        ["topo", "--rows", "4", "--cols", "4", "--bc", "MBC2", "--out", "g4x4_mbc2.json"],
+        ["topo", "--rows", "4", "--cols", "4", "--bc", "PBC1", "--out", "g4x4_pbc1.json"],
+        ["topo", "--rows", "4", "--cols", "4", "--out", "u4x4.json"],
+        ["topo", "--kind", "hex", "--rings", "2", "--out", "hex2.json"],
+    ]
+    for name, topo, flags in [
+        ("pbc1_free_eps10_diff3", "g3x3_pbc1", ["--eps-tol", "10", "--diff", "3"]),
+        ("hex2_free", "hex2", []),
+        ("g2x2_window", "g2x2", ["--window", "4800:5300", "--diff", "2"]),
+        ("mbc2_free_eps20", "g4x4_mbc2", ["--eps-tol", "20"]),
+        ("pbc1_fixed", "g3x3_pbc1_fixed", ["--mode", "fixed"]),
+        ("g2x2_c1off_proximity", "g2x2", ["--params", "c1off.params.json"]),
+        ("pbc1_c1tight", "g3x3_pbc1", ["--params", "c1tight.params.json"]),
+        ("pbc1_fixed_c1tight", "g3x3_pbc1_fixed",
+         ["--mode", "fixed", "--params", "c1tight.params.json"]),
+        ("g2x2_offgrid", "g2x2", ["--params", "offgrid.params.json"]),
+        ("g2x2_fixed_bigm", "g2x2_fixed", ["--mode", "fixed", "--big-m", "4000"]),
+    ]:
+        cmds.append(["build", "--topology", f"{topo}.json", *flags, "--out", f"{name}.lp"])
+
+    # a timed-out anneal makes its verify commands exit 2, which the transcript records
+    verified = [(name, topo, pflags) for name, topo, _, pflags, _ in ANNEALS]
+    verified.append(("pbc1_4x4", "g4x4_pbc1", ["--diff", "2"]))
+    for name, topo, seed, pflags, sflags in ANNEALS:
+        cmds.append(["solve", "--topology", f"{topo}.json", "--backend", "anneal",
+                     "--seed", str(seed), *pflags, *sflags, "--out", f"{name}.sol.json"])
+    for name, topo, pflags in verified:
+        for bounds in ("tightened", "base"):
+            cmds.append(["verify", "--topology", f"{topo}.json", "--solution", f"{name}.sol.json",
+                         *pflags, "--bounds", bounds, "--out", f"{name}.verify_{bounds}.json"])
+
+    unit = ["--topology", "g4x4_pbc1.json", "--solution", "pbc1_4x4.sol.json"]
+    cmds += [
+        ["yield", "--topology", "g2x2.json", "--solution", "g2x2_eps10_s0.sol.json",
+         "--sigma", "2,5,10,20", "--trials", "2000", "--seed", "3", "--out", "g2x2.yield.csv"],
+        ["yield", *unit, "--sigma", "2,4,6,8,10", "--trials", "4000", "--seed", "5",
+         "--out", "pbc1_4x4.yield.csv"],
+        ["threshold", *unit, "--target", "0.5", "--bracket", "1:20", "--tol", "0.5",
+         "--trials", "2000", "--seed", "2", "--max-trials", "16000",
+         "--out", "pbc1_4x4.threshold.csv"],
+    ]
+    for n, trials in ((4, "1000"), (8, "256")):
+        cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json",
+                     "--bc", "PBC1", "--nx", str(n), "--ny", str(n), "--sigma", "1.75,2.25",
+                     "--trials", trials, "--seed", "1", "--out", f"chip{n}x{n}"])
+    return cmds
+
+
+def run(outdir: pathlib.Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        write_inputs()
+        transcript = []
+        for cmd in commands():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(cmd)
+            transcript.append(f"$ freqalloc {' '.join(cmd)}\nexit {code}\n"
+                              f"{out.getvalue()}{err.getvalue()}")
+        for meta in pathlib.Path(".").glob("*.meta.json"):
+            meta.unlink()
+        pathlib.Path("transcript.txt").write_text("\n".join(transcript))
+    finally:
+        os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python -m tests.artifact_digest OUTDIR")
+    run(pathlib.Path(sys.argv[1]))

@@ -274,6 +274,45 @@ def test_non_finite_sigma_and_bracket_exit_2(tmp_path):
     assert main(["threshold", *common, "--target", "0.5", "--bracket", "1:inf"]) == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--solution", "nan_sol.json"]),
+    ("yield", ["--solution", "nan_sol.json", "--sigma", "1", "--trials", "100"]),
+    ("build", ["--eps-tol", "nan", "--out", "m.lp"]),
+    ("build", ["--window", "5000:inf", "--out", "m.lp"]),
+    ("build", ["--params", "nan_params.json", "--out", "m.lp"]),
+    ("verify", ["--solution", "unit_sol.json", "--eps-tol", "nan"]),
+], ids=["verify-nan-frequency", "yield-nan-frequency", "build-nan-eps", "build-inf-window",
+        "build-nan-alpha", "verify-nan-eps"])
+def test_non_finite_inputs_exit_2(tmp_path, monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main(["topo", "--rows", "3", "--cols", "3", "--bc", "PBC1", "--out", "t.json"]) == 0
+    doc = json.loads(write_unit_solution(tmp_path).read_text())
+    doc["frequencies_mhz"]["0"] = float("nan")
+    (tmp_path / "nan_sol.json").write_text(json.dumps(doc))
+    (tmp_path / "nan_params.json").write_text(json.dumps({"alpha": float("nan")}))
+    assert main([command, "--topology", "t.json", *flags]) == 2
+
+
+def test_non_finite_solver_value_exit_3(tmp_path):
+    topo = tmp_path / "p2.json"
+    assert main(["topo", "--rows", "1", "--cols", "2", "--out", str(topo)]) == 0
+    wrapper = tmp_path / "nan_wrapper.py"
+    wrapper.write_text(
+        "import json, sys\n"
+        "from freqalloc.milp_adapter import main\n"
+        "main(sys.argv[1:3])\n"
+        "with open(sys.argv[2]) as fh:\n"
+        "    doc = json.load(fh)\n"
+        "doc['values']['f_0'] = float('nan')\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    json.dump(doc, fh)\n"
+    )
+    out = tmp_path / "s.json"
+    assert main(["solve", "--topology", str(topo), "--cmd", f"python3 {wrapper} {{lp}} {{out}}",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 # -- assemble ----------------------------------------------------------------------
 
 

@@ -2,11 +2,16 @@
 import dataclasses
 import itertools
 import json
+import os
+import pathlib
+import signal
+import time
 
 import pytest
 
-from freqalloc.constraints import check, default_params, enumerate_records
+from freqalloc.constraints import check, default_params, enumerate_records, uniform_tightening
 from freqalloc.model import Solution, SolutionParseError, build
+from freqalloc import solve as solve_module
 from freqalloc.solve import (
     DEFAULT_ANNEAL,
     SolverConfig,
@@ -106,6 +111,32 @@ def test_external_budget_placeholder_and_timeout_status():
     if sol.status != "timeout":
         recs = enumerate_records(topo, "free", p)
         assert verify(sol, recs, p, tightened=True).ok
+
+
+def test_timeout_kills_the_wrappers_process_group(tmp_path, monkeypatch):
+    # the wrapper's solver (here a sleep) runs on unless the whole group is killed
+    monkeypatch.setattr(solve_module, "TIMEOUT_GRACE_S", 0.5)
+    pid_file = tmp_path / "pid"
+    tpl = f"sh -c 'sleep 25 & echo $! > {pid_file}; wait' {{lp}} {{out}}"
+    m = free_model(Topology(n_qubits=2, edges=[(0, 1)]), default_params())
+    t0 = time.monotonic()
+    status = solve_external(m, ext_cfg(template=tpl, budget=0.1)).status
+    took = time.monotonic() - t0
+    pid = int(pid_file.read_text())
+    stat = pathlib.Path(f"/proc/{pid}/stat")
+    state = None
+    for _ in range(50):
+        # the container's init may never reap it, so a zombie counts as gone
+        state = stat.read_text().rsplit(")", 1)[1].split()[0] if stat.exists() else None
+        if state in (None, "Z"):
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+    assert state in (None, "Z")
+    # killing only the wrapper would leave the sleep holding the output pipe
+    assert took < 10.0
+    assert status == "timeout"
 
 
 def pin_orientation(model, bits):
@@ -288,3 +319,38 @@ def test_anneal_frequencies_on_grid_and_in_window():
     for f in sol.frequencies.values():
         assert 5000.0 <= f <= 5500.0
         assert (f - 5000.0) % 5.0 == pytest.approx(0.0, abs=1e-9)
+
+
+# (status, objective, frequencies, orientations) of the annealer on off-grid
+# settings: window ends, alpha, tightening, gap separation and grid steps that
+# are not exact in binary, where the order of the incremental violation-sum
+# updates decides which moves are accepted
+PINNED_PATH3 = [
+    ("feasible", 734.95, {0: 5029.0, 1: 5174.200000000001, 2: 5242.6}, {(0, 1): 1, (1, 2): 1}),
+    ("feasible", 1077.6500000000005, {0: 5197.0, 1: 5105.5, 2: 4943.8}, {(0, 1): 0, (1, 2): 0}),
+    ("timeout", None, {0: 4910.200000000001, 1: 5164.900000000001, 2: 5291.200000000001},
+     {(0, 1): 1, (1, 2): 1}),
+    ("feasible", 208.34999999999965, {0: 4960.0, 1: 5105.200000000001, 2: 5043.400000000001},
+     {(0, 1): 1, (1, 2): 0}),
+]
+PINNED_GRID22 = [
+    ("timeout", None, {0: 5136.1, 1: 4963.200000000001, 2: 5240.400000000001, 3: 4989.1},
+     {(0, 1): 0, (0, 2): 1, (1, 3): 1, (2, 3): 0}),
+    ("timeout", None, {0: 5131.200000000001, 1: 4951.3, 2: 5104.6, 3: 4853.3},
+     {(0, 1): 0, (0, 2): 0, (1, 3): 0, (2, 3): 0}),
+    ("timeout", None, {0: 5133.3, 1: 5157.8, 2: 4880.6, 3: 4978.6},
+     {(0, 1): 1, (0, 2): 0, (1, 3): 0, (2, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("topo, anneal, pinned", [
+    (square_grid(1, 3), {"cooling_rate": 0.97, "freq_step_mhz": 0.3}, PINNED_PATH3),
+    (square_grid(2, 2), {"freq_step_mhz": 0.7}, PINNED_GRID22),
+], ids=["path3", "grid2x2"])
+def test_anneal_results_pinned_on_off_grid_settings(topo, anneal, pinned):
+    p = dataclasses.replace(default_params(), eps_tol=uniform_tightening(7.3),
+                            f_window=(4800.1, 5300.7), alpha=-217.3, delta_diff=2.7)
+    recs = enumerate_records(topo, "free", p)
+    for seed, expected in enumerate(pinned):
+        sol = solve_anneal(recs, p, SolverConfig(backend="anneal", seed=seed, anneal=anneal))
+        assert (sol.status, sol.objective_value, sol.frequencies, sol.orientations) == expected
