@@ -38,8 +38,8 @@ from .yield_mc import (
     CSV_HEADER,
     BracketError,
     csv_row,
-    estimate_yield,
     threshold_dispersion,
+    yield_curve,
 )
 
 EXIT_OK = 0
@@ -196,7 +196,7 @@ def _load_topology(path: str) -> Topology:
 def _load_solution(path: str) -> Solution:
     try:
         return Solution.from_json_dict(_read_json(path, "solution"))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path} is not a solution file: {exc}") from exc
 
 
@@ -373,13 +373,10 @@ def _yield_opts(args, cfg: RunConfig) -> dict:
 def _yield_csv(assignment, topo: Topology, params: ConstraintParams, opts: dict) -> str:
     """The yield CSV, one row per dispersion level of opts["sigma"]."""
     sigmas = opts["sigma"] if isinstance(opts["sigma"], list) else parse_sigmas(str(opts["sigma"]))
-    lines = [CSV_HEADER]
-    for sigma in sigmas:
-        est = estimate_yield(assignment, topo, params, sigma=float(sigma),
-                             trials=int(opts["trials"]), seed=int(opts["seed"]),
-                             n_jobs=int(opts["jobs"]))
-        lines.append(csv_row(est))
-    return "\n".join(lines) + "\n"
+    curve = yield_curve(assignment, topo, params, [float(s) for s in sigmas],
+                        trials=int(opts["trials"]), seed=int(opts["seed"]),
+                        n_jobs=int(opts["jobs"]))
+    return "\n".join([CSV_HEADER, *map(csv_row, curve)]) + "\n"
 
 
 def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:

@@ -420,7 +420,10 @@ def import_solution(text: str, model: ModelIR) -> Solution:
         raw = values[v.name]
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise SolutionParseError(f"value of {v.name} is not a number")
-        x = float(raw)
+        try:
+            x = float(raw)
+        except OverflowError as exc:  # a JSON integer beyond the float range
+            raise SolutionParseError(f"value of {v.name} is not finite") from exc
         if not math.isfinite(x):
             raise SolutionParseError(f"value of {v.name} is not finite")
         if v.kind == "B":

@@ -10,6 +10,10 @@ trials run serially, in blocks, or across processes, and a smaller sigma
 reuses the same standard normals (common random numbers) scaled down.
 Exact streams are not part of the contract; confidence intervals are.
 
+Each trial is drawn once per command: one generator, its counter reset per
+trial, serves a whole trial range; a yield curve scales each trial block by
+every sigma; and a threshold escalation draws only the new trials.
+
 Memory is bounded: trials run in blocks of about _WORK_BYTES of noise, and
 each block walks the instances in chunks of the same size, so the working
 set grows with n_qubits x block, not with instances x trials.  The chunking
@@ -95,10 +99,6 @@ def csv_row(est: YieldEstimate) -> str:
     )
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial * 2**64))
-
-
 def _check_sigma(sigma: float) -> None:
     # a NaN sigma would fail no comparison and report every trial a success
     if not (math.isfinite(sigma) and sigma >= 0):
@@ -125,6 +125,7 @@ class _Compiled:
     """Base-bound instances flattened into numpy arrays for block checks."""
 
     n_qubits: int
+    base: np.ndarray       # (n_qubits,) unperturbed frequencies
     abs_idx: np.ndarray    # (n_abs, 3) qubit columns, padded with 0
     abs_coef: np.ndarray   # (n_abs, 3) matching coefficients, padded with 0
     abs_const: np.ndarray  # (n_abs,)
@@ -157,6 +158,7 @@ def _compile(topo: Topology, assignment: FrequencyAssignment, params: Constraint
         bounds.append(params.base_bound(rec.family))
     return _Compiled(
         n_qubits=topo.n_qubits,
+        base=np.array([assignment.frequencies[q] for q in range(topo.n_qubits)]),
         abs_idx=np.array(idx, dtype=np.intp).reshape(-1, 3),
         abs_coef=np.array(coef, dtype=float).reshape(-1, 3),
         abs_const=np.array(consts, dtype=float),
@@ -200,24 +202,81 @@ def _eval_block(comp: _Compiled, freqs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return viol == 0, viol
 
 
+def _trial_noise(seed: int, n_qubits: int, start: int, count: int):
+    """Standard normals of trials [start, start+count), in blocks of about _WORK_BYTES.
+
+    Row t holds the first n_qubits draws of Philox(key=seed, counter=t * 2^64):
+    resetting the counter, buffer empty, matches a new generator at less cost.
+    """
+    block = max(1, _WORK_BYTES // (8 * n_qubits))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = rng.bit_generator.state
+    for lo in range(start, start + count, block):
+        noise = np.empty((min(block, start + count - lo), n_qubits))
+        for t, row in enumerate(noise, lo):
+            state["state"]["counter"][1] = t
+            rng.bit_generator.state = state
+            rng.standard_normal(out=row)
+        yield noise
+
+
 def _run_trials(
-    comp: _Compiled, base: np.ndarray, sigma: float, seed: int, start: int, count: int,
-) -> tuple[int, int]:
-    """Trials [start, start+count): (successes, total violated instances)."""
-    block = max(1, _WORK_BYTES // (8 * comp.n_qubits))
-    successes = 0
-    viol_total = 0
-    done = 0
-    while done < count:
-        b = min(block, count - done)
-        noise = np.empty((b, comp.n_qubits))
-        for i in range(b):
-            noise[i] = _trial_rng(seed, start + done + i).standard_normal(comp.n_qubits)
-        ok, viol = _eval_block(comp, base + sigma * noise)
-        successes += int(ok.sum())
-        viol_total += int(viol.sum())
-        done += b
-    return successes, viol_total
+    comp: _Compiled, sigmas: list[float], seed: int, start: int, count: int, n_jobs: int = 1,
+) -> list[tuple[int, int]]:
+    """Trials [start, start+count) at each sigma: (successes, total violated instances).
+
+    n_jobs, capped at the CPU count, shards the range across processes.
+    """
+    if count < 1:
+        raise ValueError("trials must be >= 1")
+    n_jobs = min(n_jobs, count, os.cpu_count() or 1)
+    if n_jobs > 1:
+        ends = [start + count * i // n_jobs for i in range(n_jobs + 1)]
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            futures = [
+                pool.submit(_run_trials, comp, sigmas, seed, a, b - a)
+                for a, b in zip(ends, ends[1:])
+            ]
+            shards = [fut.result() for fut in futures]
+        return [tuple(map(sum, zip(*per_sigma))) for per_sigma in zip(*shards)]
+    totals = [(0, 0)] * len(sigmas)
+    for noise in _trial_noise(seed, comp.n_qubits, start, count):
+        for k, sigma in enumerate(sigmas):
+            ok, viol = _eval_block(comp, comp.base + sigma * noise)
+            totals[k] = (totals[k][0] + int(ok.sum()), totals[k][1] + int(viol.sum()))
+    return totals
+
+
+def yield_curve(
+    assignment: FrequencyAssignment,
+    topo: Topology,
+    params: ConstraintParams,
+    sigmas: list[float],
+    trials: int,
+    seed: int = 0,
+    n_jobs: int = 1,
+) -> list[YieldEstimate]:
+    """estimate_yield at each sigma, from one draw of the trials.
+
+    Entry k equals estimate_yield(..., sigmas[k], trials, seed, n_jobs): each
+    trial block is drawn once and scaled by every sigma.
+    """
+    for sigma in sigmas:
+        _check_sigma(sigma)
+    comp = _compile(topo, assignment, params)
+    return [
+        YieldEstimate(
+            sigma=sigma,
+            trials=trials,
+            successes=successes,
+            yield_fraction=successes / trials,
+            ci95=wilson_ci(successes, trials),
+            seed=seed,
+            mean_violations=viol / trials,
+        )
+        for sigma, (successes, viol) in zip(
+            sigmas, _run_trials(comp, sigmas, seed, 0, trials, n_jobs))
+    ]
 
 
 def estimate_yield(
@@ -236,38 +295,7 @@ def estimate_yield(
     across processes.  An infeasible unperturbed assignment is fine; its
     yield is just low.
     """
-    _check_sigma(sigma)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    comp = _compile(topo, assignment, params)
-    base = np.array([assignment.frequencies[q] for q in range(topo.n_qubits)])
-
-    n_jobs = min(n_jobs, trials, os.cpu_count() or 1)
-    if n_jobs <= 1:
-        successes, viol = _run_trials(comp, base, sigma, seed, 0, trials)
-    else:
-        sizes = [trials // n_jobs + (1 if i < trials % n_jobs else 0) for i in range(n_jobs)]
-        starts = [sum(sizes[:i]) for i in range(n_jobs)]
-        successes = viol = 0
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_run_trials, comp, base, sigma, seed, s, c)
-                for s, c in zip(starts, sizes)
-            ]
-            for fut in futures:
-                s, v = fut.result()
-                successes += s
-                viol += v
-
-    return YieldEstimate(
-        sigma=sigma,
-        trials=trials,
-        successes=successes,
-        yield_fraction=successes / trials,
-        ci95=wilson_ci(successes, trials),
-        seed=seed,
-        mean_violations=viol / trials,
-    )
+    return yield_curve(assignment, topo, params, [sigma], trials, seed, n_jobs)[0]
 
 
 def composed_yield(local_yield: float, replicas: int) -> float:
@@ -301,8 +329,9 @@ def threshold_dispersion(
     Yield is treated as monotone nonincreasing in sigma.  At each probe the
     trial count is escalated (x4 up to max_trials) until the Wilson CI
     excludes the target; if it still straddles at the cap, the point
-    estimate decides.  Same-seed probes share random numbers across sigma,
-    so the bisection path is deterministic for a fixed seed.
+    estimate decides; an escalation runs only the new trials.  Same-seed
+    probes share random numbers across sigma, so the bisection path is
+    deterministic for a fixed seed.
 
     Raises:
         BracketError: the bracket endpoints do not straddle target_yield.
@@ -314,31 +343,30 @@ def threshold_dispersion(
         raise ValueError("sigma_bracket must be finite with 0 <= lo < hi")
     if not (math.isfinite(tol_mhz) and tol_mhz > 0):
         raise ValueError("tol_mhz must be finite and > 0")
+    comp = _compile(topo, assignment, params)
 
-    def probe(sigma: float) -> tuple[YieldEstimate, str]:
-        t = trials
+    def probe(sigma: float) -> str:
+        t = successes = 0
         while True:
-            est = estimate_yield(assignment, topo, params, sigma, t, seed=seed, n_jobs=n_jobs)
-            if est.ci95[0] > target_yield:
-                return est, "above"
-            if est.ci95[1] < target_yield:
-                return est, "below"
+            end = min(max_trials, 4 * t) if t else trials  # an escalation adds trials [t, end)
+            successes += _run_trials(comp, [sigma], seed, t, end - t, n_jobs)[0][0]
+            t = end
+            ci_lo, ci_hi = wilson_ci(successes, t)
+            if ci_lo > target_yield:
+                return "above"
+            if ci_hi < target_yield:
+                return "below"
             if t >= max_trials:
-                side = "above" if est.yield_fraction >= target_yield else "below"
-                return est, side
-            t = min(max_trials, 4 * t)
+                return "above" if successes / t >= target_yield else "below"
 
-    _, side_lo = probe(lo)
-    if side_lo == "below":
+    if probe(lo) == "below":
         raise BracketError(f"yield at sigma={lo} is below the target {target_yield}")
-    _, side_hi = probe(hi)
-    if side_hi == "above":
+    if probe(hi) == "above":
         raise BracketError(f"yield at sigma={hi} is above the target {target_yield}")
 
     while hi - lo > tol_mhz:
         mid = 0.5 * (lo + hi)
-        _, side = probe(mid)
-        if side == "above":
+        if probe(mid) == "above":
             lo = mid
         else:
             hi = mid

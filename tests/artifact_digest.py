@@ -7,8 +7,9 @@ Run from the repository root:
 Every command runs in process through freqalloc.cli.main inside OUTDIR.
 The artifacts are LP files, anneal solutions (including windows, alpha,
 gap separations and grid steps that are not exact in binary), verify
-reports at base and tightened bounds, yield and threshold CSVs, and the
-chip, report and yield files of two tilings.  The .meta.json sidecars,
+reports at base and tightened bounds, yield and threshold CSVs (some
+sharded with --jobs 2, one threshold escalating to its trial cap), and the
+chip, report and yield files of three tilings.  The .meta.json sidecars,
 which hold wall-clock data, are deleted; transcript.txt keeps each
 command's exit code, stdout and stderr.  Outputs from two trees then
 compare with
@@ -124,6 +125,15 @@ def commands() -> list[list[str]]:
         ["threshold", *unit, "--target", "0.5", "--bracket", "1:20", "--tol", "0.5",
          "--trials", "2000", "--seed", "2", "--max-trials", "16000",
          "--out", "pbc1_4x4.threshold.csv"],
+        ["yield", *unit, "--sigma", "2,4,6,8,10,15,20", "--trials", "5000", "--seed", "7",
+         "--jobs", "2", "--out", "pbc1_4x4_jobs2.yield.csv"],
+        # the probe at 5.15625 escalates 2000 -> 8000 -> 32000 trials
+        ["threshold", *unit, "--target", "0.5", "--bracket", "1:20", "--tol", "0.25",
+         "--trials", "2000", "--seed", "4", "--max-trials", "32000",
+         "--out", "pbc1_4x4_cap.threshold.csv"],
+        ["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json", "--bc", "PBC1",
+         "--nx", "4", "--ny", "4", "--sigma", "1.75,2.25", "--trials", "600", "--seed", "2",
+         "--jobs", "2", "--out", "chip4x4_jobs2"],
     ]
     for n, trials in ((4, "1000"), (8, "256")):
         cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json",

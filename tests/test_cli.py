@@ -313,6 +313,33 @@ def test_non_finite_solver_value_exit_3(tmp_path):
     assert not out.exists()
 
 
+def test_oversized_integer_solver_value_exit_3(tmp_path):
+    # 1 followed by 400 zeros parses as a Python int that float() cannot hold
+    topo = tmp_path / "p2.json"
+    assert main(["topo", "--rows", "1", "--cols", "2", "--out", str(topo)]) == 0
+    wrapper = tmp_path / "huge_wrapper.py"
+    wrapper.write_text(
+        "import json, sys\n"
+        "from freqalloc.milp_adapter import main\n"
+        "main(sys.argv[1:3])\n"
+        "with open(sys.argv[2]) as fh:\n"
+        "    doc = json.load(fh)\n"
+        "doc['values']['f_0'] = 10 ** 400\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    json.dump(doc, fh)\n"
+    )
+    out = tmp_path / "s.json"
+    assert main(["solve", "--topology", str(topo), "--cmd", f"python3 {wrapper} {{lp}} {{out}}",
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_null_frequencies_exit_2(tmp_path, grid22):
+    sol = tmp_path / "null.json"
+    sol.write_text(json.dumps({"status": "optimal", "frequencies_mhz": None}))
+    assert main(["verify", "--topology", str(grid22), "--solution", str(sol)]) == 2
+
+
 # -- assemble ----------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import json
 import math
 import pathlib
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from freqalloc.yield_mc import (
     sample_perturbation,
     threshold_dispersion,
     wilson_ci,
+    yield_curve,
 )
 
 from .oracles import gaussian_pair_success, wilson_interval
@@ -279,6 +280,32 @@ def test_chip_yield_memory_is_bounded():
     assert peak <= 64 * 2**20
 
 
+@pytest.mark.parametrize("n_qubits", [16, 1024])
+def test_reused_generator_draws_match_fresh_generators(n_qubits):
+    block = yield_mc._WORK_BYTES // (8 * n_qubits)
+    for seed in (0, 1, 2**40):
+        first = np.concatenate(list(yield_mc._trial_noise(seed, n_qubits, 0, block + 2)))
+        far = next(yield_mc._trial_noise(seed, n_qubits, 2**32 + 1, 1))
+        for t, row in [(0, first[0]), (1, first[1]), (block - 1, first[block - 1]),
+                       (block, first[block]), (block + 1, first[block + 1]),
+                       (2**32 + 1, far[0])]:
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=t * 2**64))
+            assert np.array_equal(row, fresh.standard_normal(n_qubits)), (seed, t)
+
+
+def test_yield_curve_matches_per_sigma_estimates(monkeypatch):
+    unit, sol = pbc1_4x4_unit()
+    topo, asg, p = wrap(unit, preset_bc("PBC1")), sol.as_assignment(), default_params()
+    sigmas = [2.0, 4.0, 6.0, 10.0, 20.0]
+    # 3000 trials span two blocks of 16 qubits; counts recorded before the draws were shared
+    curve = yield_curve(asg, topo, p, sigmas, trials=3000, seed=3)
+    assert [e.successes for e in curve] == [2966, 2180, 1127, 207, 7]
+    assert curve == [estimate_yield(asg, topo, p, s, trials=3000, seed=3) for s in sigmas]
+    monkeypatch.setattr(yield_mc, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(yield_mc.os, "cpu_count", lambda: 3)
+    assert yield_curve(asg, topo, p, sigmas, trials=3000, seed=3, n_jobs=3) == curve
+
+
 # -- YieldEstimate container ------------------------------------------------------
 
 
@@ -370,3 +397,47 @@ def test_threshold_rejects_non_finite_arguments():
         with pytest.raises(ValueError):
             threshold_dispersion(asg, topo, default_params(), target_yield=0.5, trials=100,
                                  sigma_bracket=bracket, tol_mhz=tol)
+
+
+# a run on the wrapped 4x4 PBC1 unit whose probes at 5.15625 and 5.08203125 escalate
+# 1000 -> 4000 -> 16000 trials; sigma* recorded before escalations extended the range
+ESCALATING = dict(target_yield=0.5, trials=1000, sigma_bracket=(1.0, 20.0), tol_mhz=0.1,
+                  seed=2, max_trials=16_000)
+
+
+def escalating_unit():
+    unit, sol = pbc1_4x4_unit()
+    return sol.as_assignment(), wrap(unit, preset_bc("PBC1")), default_params()
+
+
+def test_threshold_pinned_where_probes_escalate_to_the_cap():
+    assert threshold_dispersion(*escalating_unit(), **ESCALATING) == 5.119140625
+
+
+def test_threshold_escalation_draws_only_new_trials(monkeypatch):
+    ranges, rows, compiles = [], [], []
+    trial_noise, compile_ = yield_mc._trial_noise, yield_mc._compile
+
+    def counting(seed, n_qubits, start, count):
+        ranges.append((start, count))
+        for noise in trial_noise(seed, n_qubits, start, count):
+            rows.append(len(noise))
+            yield noise
+
+    def counting_compile(*args):
+        compiles.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(yield_mc, "_trial_noise", counting)
+    monkeypatch.setattr(yield_mc, "_compile", counting_compile)
+    assert threshold_dispersion(*escalating_unit(), **ESCALATING) == 5.119140625
+
+    probes = []
+    for start, count in ranges:
+        if start == 0:
+            probes.append([])
+        probes[-1].append((start, count))
+    escalated = [(0, 1000), (1000, 3000), (4000, 12000)]
+    assert probes == [[(0, 1000)]] * 6 + [escalated] + [[(0, 1000)]] * 2 + [escalated]
+    assert sum(rows) == 8 * 1000 + 2 * 16_000  # restarting at 0 drew 50,000
+    assert len(compiles) == 1
