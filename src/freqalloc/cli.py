@@ -160,21 +160,23 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _write_text(path: str, text: str, argv: list[str]) -> None:
+def _write_text(path: str, text: str, argv: list[str], extra: dict | None = None) -> None:
+    """Write the artifact, and its wall-clock and run data (extra) to the sidecar."""
     with open(path, "w") as fh:
         fh.write(text)
     meta = {
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": argv,
         "package": f"freqalloc {_package_version()}",
+        **(extra or {}),
     }
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def _write_json(path: str, obj: dict, argv: list[str]) -> None:
-    _write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n", argv)
+def _write_json(path: str, obj: dict, argv: list[str], extra: dict | None = None) -> None:
+    _write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n", argv, extra)
 
 
 def _read_json(path: str, what: str):
@@ -322,13 +324,18 @@ def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     params = _effective_params(args, cfg)
     mode, records, big_m = _model_inputs(topo, params, args, cfg)
     scfg = _solver_config(args, cfg)
+    extra = {}
     if scfg.backend == "external":
-        sol = solve_external(build(topo, records, params, mode, big_m=big_m), scfg)
+        model = build(topo, records, params, mode, big_m=big_m)
+        sol = solve_external(model, scfg)
+        extra = {"model": {"variables": len(model.variables), "rows": len(model.rows),
+                           "binaries": len(model.binaries())},
+                 "solver": sol.solver_stats}
     else:  # big_m sizes MILP rows only
         sol = solve_anneal(records, params, scfg)
     sol = _fill_isolated(topo, sol, params)
     out = _out_path(args, cfg)
-    _write_json(out, sol.to_json_dict(), argv)
+    _write_json(out, sol.to_json_dict(), argv, extra)
     obj = "none" if sol.objective_value is None else f"{sol.objective_value:.6g}"
     print(f"wrote {out}: status {sol.status}, objective {obj}")
     return EXIT_OK

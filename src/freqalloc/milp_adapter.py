@@ -7,12 +7,15 @@ scipy.optimize.milp.  Meant to be wired in as the external solver command:
     python -m freqalloc.milp_adapter {lp} {out} [--time-limit S] [--gap G]
 
 The JSON written to {out} is {"status": ..., "values": {name: value}} with
-every variable present for solved statuses.
+every variable present for solved statuses, plus HiGHS's branch-and-bound
+node count, relative gap and dual bound (in the LP's own sense) when they
+are finite.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -87,7 +90,9 @@ def parse_lp(text: str) -> dict:
             m = re.search(r"(<=|>=|=)", body)
             if not m:
                 raise LPParseError(f"constraint without a sense: {lines[i]!r}")
-            lhs, op, rhs = body[: m.start()], m.group(1), body[m.end():]
+            lhs, op, rhs = body[: m.start()], m.group(1), body[m.end():].strip()
+            if not _NUM_RE.fullmatch(rhs) or not math.isfinite(float(rhs)):
+                raise LPParseError(f"right-hand side is not a finite number: {lines[i]!r}")
             rows.append((name.strip(), _parse_terms(lhs), op, float(rhs)))
         elif section == "bounds":
             m = re.match(
@@ -207,6 +212,12 @@ def solve_lp(text: str, time_limit: float | None = None, gap: float | None = Non
     doc: dict = {"status": status}
     if res.x is not None:
         doc["values"] = {name: float(res.x[index[name]]) for name in names}
+    for key in ("mip_node_count", "mip_gap", "mip_dual_bound"):
+        value = getattr(res, key, None)
+        if value is not None and math.isfinite(value):
+            # HiGHS minimizes the negated objective of a Maximize model
+            flip = key == "mip_dual_bound" and prob["sense"] == "maximize"
+            doc[key] = -value if flip else value
     return doc
 
 

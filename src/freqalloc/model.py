@@ -8,7 +8,7 @@ with expr the record's LINEAR_FORMS entry, turns into the disjunction
 
     expr + M*b >= sF        and        -expr + M*(1-b) >= sF
 
-with a fresh binary b; the inactive branch must stay satisfiable for every
+on a binary b; the inactive branch must stay satisfiable for every
 in-window point, which is why the default big M is twice the largest
 attainable expression magnitude (ConstraintParams.max_measure) plus margin.
 In free-orientation mode each directed instance additionally carries a gate
@@ -16,6 +16,11 @@ term M*o or M*(1-o) on its coupler's orientation bit, so only the realized
 direction binds.  C1 is a pair of plain window rows (no slack), and DIFF
 links auxiliary gap variables d_e = |f_p - f_q| via four big-M rows per
 coupler plus one disjunction (or two proximity rows) per coupler pair.
+
+Sign presolve: with C1 enabled and alpha < 0 the drive window fixes the
+sign of A2, E2, S2 and E1, which keep one row and no binary, and ties A1
+and S1 to a coupler's orientation bit, which replaces b (sign_branch).
+Only D1 and T1 keep a fresh binary.
 
 Variable naming is part of the file contract: f_<q> frequencies, s<FAM>
 slacks, o_<a>_<b> orientation bits, d_<p>_<q> detuning gaps, b_<k> all other
@@ -63,13 +68,17 @@ class RowDef:
 
 @dataclass
 class Solution:
-    """A solved assignment plus the slack values that priced it."""
+    """A solved assignment plus the slack values that priced it.
+
+    solver_stats (see import_solution) is not part of the solution file.
+    """
 
     status: str  # optimal | feasible | infeasible | timeout
     frequencies: dict[int, float] = field(default_factory=dict)
     orientations: dict[Edge, int] = field(default_factory=dict)
     slacks: dict[str, float] = field(default_factory=dict)
     objective_value: float | None = None
+    solver_stats: dict[str, float] = field(default_factory=dict)
 
     def as_assignment(self) -> FrequencyAssignment:
         return FrequencyAssignment(
@@ -144,31 +153,51 @@ def linearize_abs_geq(
     slack: str | None,
     bound: float,
     big_m: float,
-    binary: str,
+    branch: str | tuple[str, int] | int,
     gate: tuple[str, int] | None = None,
 ) -> list[RowDef]:
-    """Two rows enforcing |expr + const| >= slack (or >= bound).
+    """Rows enforcing |expr + const| >= slack (or >= bound).
 
-    gate = (orientation var, case): case 0 relaxes both rows by M*o, case 1
-    by M*(1-o), so the disjunction only binds when the coupler points the
+    branch = (var, c): the _p row (expr + const >= slack) binds when the
+    binary var is c and the _n row when it is 1 - c; a bare name is case 0.
+    branch = 0 or 1 keeps only the _p or only the _n row, for an expression
+    of known sign.  gate = (orientation var, case): case 0 relaxes the rows
+    by M*o, case 1 by M*(1-o), so they only bind when the coupler points the
     record's way.
     """
-    pos = dict(expr)
-    neg = {v: -c for v, c in expr.items()}
-    rhs_pos = -const
-    rhs_neg = const - big_m
-    pos[binary] = big_m
-    neg[binary] = -big_m
-    if slack is not None:
-        pos[slack] = pos.get(slack, 0.0) - 1.0
-        neg[slack] = neg.get(slack, 0.0) - 1.0
-    else:
-        rhs_pos += bound
-        rhs_neg += bound
-    return [
-        _gated(RowDef(name + "_p", pos, ">=", rhs_pos), gate, big_m),
-        _gated(RowDef(name + "_n", neg, ">=", rhs_neg), gate, big_m),
-    ]
+    if isinstance(branch, str):
+        branch = (branch, 0)
+    rows = []
+    for suffix, sign, case in (("_p", 1.0, 0), ("_n", -1.0, 1)):
+        if isinstance(branch, int) and branch != case:
+            continue
+        row = RowDef(name + suffix, {v: sign * c for v, c in expr.items()}, ">=", -sign * const)
+        if not isinstance(branch, int):
+            _gated(row, (branch[0], branch[1] ^ case), big_m)
+        if slack is not None:
+            row.coeffs[slack] = row.coeffs.get(slack, 0.0) - 1.0
+        else:
+            row.rhs += bound
+        rows.append(_gated(row, gate, big_m))
+    return rows
+
+
+def sign_branch(rec: ConstraintRecord, bits: dict[Edge, int] | dict[Edge, str]):
+    """The linearize_abs_geq branch of a record whose sign C1 fixes (alpha < 0), else None.
+
+    On a realized coupler |f_p - f_q| <= |alpha|, so A2, E2 and S2 are >= 0,
+    E1 is <= 0, and A1 = f_a - f_b and S1 = f_t - f_k are >= 0 exactly when
+    their first qubit drives the coupler.  bits maps each coupler pair to its
+    orientation: 0/1 (fixed mode) or its o_* variable (free mode).
+    """
+    fam, p = rec.family, rec.participants
+    if fam in ("A2", "E2", "S2", "E1"):
+        return int(fam == "E1")
+    if fam not in ("A1", "S1"):
+        return None  # D1 and T1 take either sign
+    a, b = p if fam == "A1" else p[1:]
+    bit, case = bits[(min(a, b), max(a, b))], int(a > b)
+    return (bit, case) if isinstance(bit, str) else int(bit != case)
 
 
 def build(
@@ -222,6 +251,8 @@ def build(
     orientation_vars: dict[Edge, str] = {}
     if mode == "free":
         orientation_vars = {pair: f"o_{pair[0]}_{pair[1]}" for pair in topo.edges}
+    presolve = params.c1_enabled and params.alpha < 0
+    bits = orientation_vars if mode == "free" else topo.orientation
 
     rows: list[RowDef] = []
     binaries: list[str] = []
@@ -286,6 +317,7 @@ def build(
         else:
             terms, const = linear_form(rec, params.alpha)
             expr = {f"f_{q}": c for q, c in terms}
+            branch = sign_branch(rec, bits) if presolve else None
             rows.extend(
                 linearize_abs_geq(
                     f"{fam}_{row_index(fam)}",
@@ -294,7 +326,7 @@ def build(
                     slack_vars[fam],
                     0.0,
                     M,
-                    next_binary(),
+                    next_binary() if branch is None else branch,
                     gate_for(rec),
                 )
             )
@@ -380,6 +412,17 @@ def export_lp(model: ModelIR) -> str:
 
 
 VALID_STATUSES = ("optimal", "feasible", "infeasible", "timeout")
+SOLVER_STATS = ("mip_node_count", "mip_gap", "mip_dual_bound")
+
+
+def _finite_number(raw) -> int | float | None:
+    """raw if it is a finite JSON number (not a bool), else None."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        return raw if math.isfinite(raw) else None
+    except OverflowError:  # a JSON integer beyond the float range
+        return None
 
 
 def import_solution(text: str, model: ModelIR) -> Solution:
@@ -389,7 +432,9 @@ def import_solution(text: str, model: ModelIR) -> Solution:
     "values": {variable name: number}}.  For solved statuses every model
     variable must be present and binaries must sit within 1e-6 of an
     integer; orientation bits are read from o_* variables in free mode and
-    from the model's fixed orientation otherwise.
+    from the model's fixed orientation otherwise.  Finite SOLVER_STATS keys
+    go to solver_stats, the dual bound shifted onto the objective's scale;
+    other values of them are ignored.
 
     Raises:
         SolutionParseError: malformed JSON, unknown status, missing variables,
@@ -405,8 +450,11 @@ def import_solution(text: str, model: ModelIR) -> Solution:
     status = doc["status"]
     if status not in VALID_STATUSES:
         raise SolutionParseError(f"unknown status {status!r}")
+    stats = {k: x for k in SOLVER_STATS if (x := _finite_number(doc.get(k))) is not None}
+    if "mip_dual_bound" in stats:
+        stats["mip_dual_bound"] -= sum(model.slack_base.values())
     if status in ("infeasible", "timeout") and not doc.get("values"):
-        return Solution(status=status)
+        return Solution(status=status, solver_stats=stats)
 
     values = doc.get("values")
     if not isinstance(values, dict):
@@ -417,15 +465,10 @@ def import_solution(text: str, model: ModelIR) -> Solution:
 
     parsed: dict[str, float] = {}
     for v in model.variables:
-        raw = values[v.name]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise SolutionParseError(f"value of {v.name} is not a number")
-        try:
-            x = float(raw)
-        except OverflowError as exc:  # a JSON integer beyond the float range
-            raise SolutionParseError(f"value of {v.name} is not finite") from exc
-        if not math.isfinite(x):
-            raise SolutionParseError(f"value of {v.name} is not finite")
+        x = _finite_number(values[v.name])
+        if x is None:
+            raise SolutionParseError(f"value of {v.name} is not a finite number")
+        x = float(x)
         if v.kind == "B":
             nearest = round(x)
             if abs(x - nearest) > 1e-6 or nearest not in (0, 1):
@@ -446,4 +489,5 @@ def import_solution(text: str, model: ModelIR) -> Solution:
         orientations=orientations,
         slacks=slacks,
         objective_value=objective,
+        solver_stats=stats,
     )

@@ -5,11 +5,12 @@ Run from the repository root:
     PYTHONPATH=src python -m tests.artifact_digest OUTDIR
 
 Every command runs in process through freqalloc.cli.main inside OUTDIR.
-The artifacts are LP files, anneal solutions (including windows, alpha,
-gap separations and grid steps that are not exact in binary), verify
-reports at base and tightened bounds, yield and threshold CSVs (some
-sharded with --jobs 2, one threshold escalating to its trial cap), and the
-chip, report and yield files of three tilings.  The .meta.json sidecars,
+The artifacts are LP files (among them the four models the benchmark
+solves), anneal solutions (including windows, alpha, gap separations and
+grid steps that are not exact in binary), verify reports at base and
+tightened bounds, yield and threshold CSVs (some sharded with --jobs 2,
+one threshold escalating to its trial cap), and the chip, report and
+yield files of three tilings.  The .meta.json sidecars,
 which hold wall-clock data, are deleted; transcript.txt keeps each
 command's exit code, stdout and stderr.  Outputs from two trees then
 compare with
@@ -63,6 +64,10 @@ def write_inputs() -> None:
                        ("g3x3_pbc1_fixed.json", wrap(square_grid(3, 3), preset_bc("PBC1")))):
         topo.orientation = uniform_orientation(topo)
         pathlib.Path(name).write_text(topo.to_json())
+    # the benchmark's fixed-mode model: the wrapped 3x3 in the committed PBC1 unit's orientation
+    unit = wrap(square_grid(3, 3), preset_bc("PBC1")).to_json_dict()
+    unit["orientation"] = json.loads((UNIT_DIR / "pbc1_3x3.json").read_text())["solution"]["orientations"]
+    pathlib.Path("w3x3_pbc1_unit.json").write_text(json.dumps(unit, indent=1) + "\n")
 
 
 # (solution name, topology, seed, parameter flags, solver flags)
@@ -89,6 +94,9 @@ def commands() -> list[list[str]]:
         ["topo", "--rows", "4", "--cols", "4", "--bc", "PBC1", "--out", "g4x4_pbc1.json"],
         ["topo", "--rows", "4", "--cols", "4", "--out", "u4x4.json"],
         ["topo", "--kind", "hex", "--rings", "2", "--out", "hex2.json"],
+        ["topo", "--rows", "1", "--cols", "5", "--out", "p5.json"],
+        ["topo", "--rows", "2", "--cols", "3", "--out", "g2x3.json"],
+        ["topo", "--rows", "3", "--cols", "3", "--out", "g3x3.json"],
     ]
     for name, topo, flags in [
         ("pbc1_free_eps10_diff3", "g3x3_pbc1", ["--eps-tol", "10", "--diff", "3"]),
@@ -102,6 +110,11 @@ def commands() -> list[list[str]]:
          ["--mode", "fixed", "--params", "c1tight.params.json"]),
         ("g2x2_offgrid", "g2x2", ["--params", "offgrid.params.json"]),
         ("g2x2_fixed_bigm", "g2x2_fixed", ["--mode", "fixed", "--big-m", "4000"]),
+        # the four MILP models the benchmark solves
+        ("unit_p5_eps10", "p5", ["--eps-tol", "10"]),
+        ("unit_g2x3_eps10", "g2x3", ["--eps-tol", "10"]),
+        ("unit_w3x3_pbc1_fixed_eps10", "w3x3_pbc1_unit", ["--mode", "fixed", "--eps-tol", "10"]),
+        ("unit_g3x3_eps10", "g3x3", ["--eps-tol", "10"]),
     ]:
         cmds.append(["build", "--topology", f"{topo}.json", *flags, "--out", f"{name}.lp"])
 

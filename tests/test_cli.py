@@ -142,6 +142,24 @@ def test_solve_external_and_verify(tmp_path, grid22):
     assert json.loads(report_path.read_text())["ok"] is True
 
 
+def test_solve_sidecar_reports_model_size_and_search(tmp_path, grid22):
+    sol_path = solve22(tmp_path, grid22)
+    meta = json.loads((tmp_path / "s.json.meta.json").read_text())
+    params = dataclasses.replace(default_params(), eps_tol=uniform_tightening(10.0))
+    topo = Topology.from_json_dict(json.loads(grid22.read_text()))
+    model = build(topo, enumerate_records(topo, "free", params), params, "free")
+    assert meta["model"] == {"variables": len(model.variables), "rows": len(model.rows),
+                             "binaries": len(model.binaries())}
+    solver = meta["solver"]
+    assert sorted(solver) == ["mip_dual_bound", "mip_gap", "mip_node_count"]
+    assert isinstance(solver["mip_node_count"], int)
+    # shifted by the base bounds, the dual bound reads on the objective's scale
+    objective = json.loads(sol_path.read_text())["objective_mhz"]
+    assert solver["mip_dual_bound"] == pytest.approx(objective, rel=1e-4)
+    # the solution file itself carries none of it
+    assert "solver" not in sol_path.read_text() and "mip_" not in sol_path.read_text()
+
+
 def test_verify_flags_violation_exit_4(tmp_path, grid22):
     sol_path = solve22(tmp_path, grid22)
     d = json.loads(sol_path.read_text())

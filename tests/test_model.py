@@ -13,6 +13,7 @@ from freqalloc.constraints import (
     uniform_tightening,
 )
 from freqalloc.milp_adapter import LPParseError, parse_lp, solve_lp
+from freqalloc.milp_adapter import main as adapter_main
 from freqalloc.model import (
     IntegralityError,
     RowDef,
@@ -45,18 +46,17 @@ def solve_model(model):
 
 def test_single_edge_fixed_counts():
     m = build_for(single_edge({(0, 1): 0}), default_params(), "fixed")
-    assert len(m.variables) == 12  # 2 freqs + 5 slacks + 5 binaries
-    assert len(m.rows) == 12       # 5 abs pairs + 2 window rows
-    assert m.binaries() == ["b_0", "b_1", "b_2", "b_3", "b_4"]
+    assert len(m.variables) == 8  # 2 freqs + 5 slacks + the D1 binary
+    assert len(m.rows) == 8       # one row each for A1, A2, E1, E2, a D1 pair, 2 window rows
+    assert m.binaries() == ["b_0"]
     assert sorted(m.slack_vars) == ["A1", "A2", "D1", "E1", "E2"]
 
 
 def test_single_edge_free_counts():
     m = build_for(single_edge(), default_params(), "free")
-    assert len(m.variables) == 16  # + o_0_1 and 3 more case binaries
-    assert len(m.rows) == 20       # both C1 cases, both directed case sets
-    assert m.binaries()[0] == "o_0_1"
-    assert len(m.binaries()) == 9
+    assert len(m.variables) == 10  # + o_0_1 and one D1 binary per case
+    assert len(m.rows) == 15       # A1 pair on o_0_1, A2, both C1 cases, both directed case sets
+    assert m.binaries() == ["o_0_1", "b_0", "b_1"]
 
 
 def test_default_big_m_dominates_worst_expression():
@@ -74,6 +74,13 @@ def test_golden_lp_fixed():
 def test_golden_lp_free():
     m = build_for(single_edge(), default_params(), "free")
     assert export_lp(m) == (GOLDEN / "single_edge_free.lp").read_text()
+
+
+def test_golden_lp_free_without_c1_keeps_every_disjunction():
+    # without the drive window no sign is known: one binary per absolute-value record
+    p = dataclasses.replace(default_params(), c1_enabled=False)
+    m = build_for(single_edge(), p, "free")
+    assert export_lp(m) == (GOLDEN / "single_edge_free_c1off.lp").read_text()
 
 
 def test_export_is_deterministic():
@@ -209,6 +216,35 @@ def test_parser_rejects_junk():
         parse_lp("Maximize\n obj: x\nSubject To\n x + y >= 0\nEnd\n")  # unnamed row
     with pytest.raises(LPParseError):
         parse_lp("Maximize\n obj: x\nBounds\n x >= 1e\nEnd\n")
+
+
+@pytest.mark.parametrize("rhs", ["abc", "nan", "inf", "-Infinity", "1e999"])
+def test_adapter_rejects_bad_right_hand_side(tmp_path, capsys, rhs):
+    lp = tmp_path / "bad.lp"
+    lp.write_text(f"Maximize\n obj: x\nSubject To\n c1: x <= {rhs}\nBounds\n 0 <= x <= 1\nEnd\n")
+    assert adapter_main([str(lp), str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("milp_adapter: right-hand side is not a finite number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_adapter_reports_search_figures_in_the_lp_sense():
+    p = dataclasses.replace(default_params(), eps_tol=uniform_tightening(10.0))
+    m = build_for(Topology(n_qubits=3, edges=[(0, 1), (1, 2)]), p, "free")
+    doc = solve_lp(export_lp(m))
+    assert doc["status"] == "optimal"
+    assert isinstance(doc["mip_node_count"], int) and doc["mip_node_count"] >= 0
+    assert doc["mip_gap"] == pytest.approx(0.0, abs=1e-4)
+    # a Maximize model: the dual bound is an upper bound on the LP objective
+    lp_objective = sum(doc["values"][name] for name in m.objective)
+    assert doc["mip_dual_bound"] == pytest.approx(lp_objective, rel=1e-4)
+    sol = import_solution(json.dumps(doc), m)
+    assert sol.solver_stats["mip_dual_bound"] == pytest.approx(sol.objective_value, rel=1e-4)
+    assert sol.solver_stats["mip_node_count"] == doc["mip_node_count"]
+    # optional figures that are not finite numbers are ignored
+    doc.update(mip_gap=None, mip_dual_bound=True, mip_node_count=10 ** 400)
+    assert import_solution(json.dumps(doc), m).solver_stats == {}
 
 
 def test_solve_and_check_fixed():
