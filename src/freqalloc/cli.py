@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 
+from . import __version__
 from .assembly import PreconditionError, chip_check, preset_bc, seam_violations, tile
 from .constraints import (
     ConstraintParams,
@@ -60,7 +61,7 @@ class ConfigError(ValueError):
 
 _YIELD_KEYS = {"sigma", "trials", "seed", "jobs", "target", "bracket", "tol_mhz", "max_trials"}
 _TOPOLOGY_KEYS = {"kind", "rows", "cols", "rings", "cells_x", "cells_y", "bc"}
-_MODEL_KEYS = {"mode", "big_m"}
+_MODEL_KEYS = {"mode"}
 _OUTPUT_KEYS = {"out"}
 
 
@@ -151,15 +152,6 @@ def parse_pair(text: str, what: str) -> tuple[float, float]:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("freqalloc")
-    except Exception:
-        return "unknown"
-
-
 def _write_text(path: str, text: str, argv: list[str], extra: dict | None = None) -> None:
     """Write the artifact, and its wall-clock and run data (extra) to the sidecar."""
     with open(path, "w") as fh:
@@ -167,7 +159,7 @@ def _write_text(path: str, text: str, argv: list[str], extra: dict | None = None
     meta = {
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": argv,
-        "package": f"freqalloc {_package_version()}",
+        "package": f"freqalloc {__version__}",
         **(extra or {}),
     }
     with open(path + ".meta.json", "w") as fh:
@@ -253,10 +245,9 @@ def _assignment_for(topo: Topology, sol: Solution, params: ConstraintParams):
 
 
 def _model_inputs(topo: Topology, params: ConstraintParams, args, cfg: RunConfig):
-    """Model mode, its records and the big-M override; enumerate_records rejects a bad mode."""
+    """Model mode and its records; enumerate_records rejects a bad mode."""
     mode = cfg.model.get("mode", args.mode)
-    big_m = cfg.model.get("big_m", getattr(args, "big_m", None))
-    return mode, enumerate_records(topo, mode, params), big_m
+    return mode, enumerate_records(topo, mode, params)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -292,8 +283,8 @@ def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
 def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, records, big_m = _model_inputs(topo, params, args, cfg)
-    model = build(topo, records, params, mode, big_m=big_m)
+    mode, records = _model_inputs(topo, params, args, cfg)
+    model = build(topo, records, params, mode)
     out = _out_path(args, cfg)
     _write_text(out, export_lp(model), argv)
     print(f"wrote {out}: {len(model.variables)} variables, {len(model.rows)} rows, "
@@ -322,16 +313,16 @@ def _solver_config(args, cfg: RunConfig) -> SolverConfig:
 def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, records, big_m = _model_inputs(topo, params, args, cfg)
+    mode, records = _model_inputs(topo, params, args, cfg)
     scfg = _solver_config(args, cfg)
     extra = {}
     if scfg.backend == "external":
-        model = build(topo, records, params, mode, big_m=big_m)
+        model = build(topo, records, params, mode)
         sol = solve_external(model, scfg)
         extra = {"model": {"variables": len(model.variables), "rows": len(model.rows),
                            "binaries": len(model.binaries())},
                  "solver": sol.solver_stats}
-    else:  # big_m sizes MILP rows only
+    else:
         sol = solve_anneal(records, params, scfg)
     sol = _fill_isolated(topo, sol, params)
     out = _out_path(args, cfg)
@@ -488,11 +479,6 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", help="frequency window LO:HI in MHz")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("fixed", "free"), default="free")
-    p.add_argument("--big-m", type=float, dest="big_m", help="disjunction constant override")
-
-
 def _add_analysis_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
     p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--seed", type=int, default=0)
@@ -519,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="export the MILP as an LP file")
     p.add_argument("--topology", required=True)
-    _add_model_flags(p)
+    p.add_argument("--mode", choices=("fixed", "free"), default="free")
     _add_params_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("solve", help="solve the model and write a solution file")
     p.add_argument("--topology", required=True)
-    _add_model_flags(p)
+    p.add_argument("--mode", choices=("fixed", "free"), default="free")
     _add_params_flags(p)
     p.add_argument("--backend", choices=("external", "anneal"), default="external")
     p.add_argument("--cmd", help="external wrapper template with {lp} {out} [{budget}]")

@@ -419,7 +419,15 @@ def realized_orientation(topo: Topology, assignment: FrequencyAssignment) -> dic
 def physical_records(
     topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams
 ) -> list[ConstraintRecord]:
-    """Instances in the realized orientation with base bounds and no DIFF."""
+    """Instances in the realized orientation with base bounds and no DIFF.
+
+    Raises:
+        ValueError: a qubit, isolated ones included, without a frequency, or
+            a coupler without an orientation.
+    """
+    missing = [q for q in range(topo.n_qubits) if q not in assignment.frequencies]
+    if missing:
+        raise ValueError(f"assignment lacks frequencies for qubits {missing[:5]}")
     fixed = replace(topo, orientation=realized_orientation(topo, assignment))
     return enumerate_records(fixed, "fixed", replace(params, eps_tol={}, delta_diff=0.0))
 

@@ -51,6 +51,13 @@ def _parse_terms(text: str) -> dict[str, float]:
     return coeffs
 
 
+def _finite(text: str, what: str, line: str) -> float:
+    value = float(text) if _NUM_RE.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise LPParseError(f"{what} is not a finite number: {line!r}")
+    return value
+
+
 def parse_lp(text: str) -> dict:
     """Parse the dialect subset into {sense, objective, rows, bounds, binaries}."""
     lines: list[str] = []
@@ -91,21 +98,18 @@ def parse_lp(text: str) -> dict:
             if not m:
                 raise LPParseError(f"constraint without a sense: {lines[i]!r}")
             lhs, op, rhs = body[: m.start()], m.group(1), body[m.end():].strip()
-            if not _NUM_RE.fullmatch(rhs) or not math.isfinite(float(rhs)):
-                raise LPParseError(f"right-hand side is not a finite number: {lines[i]!r}")
-            rows.append((name.strip(), _parse_terms(lhs), op, float(rhs)))
+            rows.append((name.strip(), _parse_terms(lhs), op,
+                         _finite(rhs, "right-hand side", lines[i])))
         elif section == "bounds":
+            # lo <= x <= hi, or x <= hi with lo = 0
             m = re.match(
-                rf"^({_NUM_RE.pattern})\s*<=\s*({_NAME})\s*<=\s*({_NUM_RE.pattern})$",
+                rf"^(?:({_NUM_RE.pattern})\s*<=\s*)?({_NAME})\s*<=\s*({_NUM_RE.pattern})$",
                 lines[i],
             )
-            if m:
-                bounds[m.group(2)] = (float(m.group(1)), float(m.group(3)))
-            else:
-                m2 = re.match(rf"^({_NAME})\s*<=\s*({_NUM_RE.pattern})$", lines[i])
-                if not m2:
-                    raise LPParseError(f"unsupported bounds line: {lines[i]!r}")
-                bounds[m2.group(1)] = (0.0, float(m2.group(2)))
+            if not m:
+                raise LPParseError(f"unsupported bounds line: {lines[i]!r}")
+            lo, var, hi = m.groups()
+            bounds[var] = (_finite(lo or "0", "bound", lines[i]), _finite(hi, "bound", lines[i]))
         elif section == "binary":
             for tok in lines[i].split():
                 if not re.fullmatch(_NAME, tok):

@@ -9,7 +9,7 @@ with expr the record's LINEAR_FORMS entry, turns into the disjunction
     expr + M*b >= sF        and        -expr + M*(1-b) >= sF
 
 on a binary b; the inactive branch must stay satisfiable for every
-in-window point, which is why the default big M is twice the largest
+in-window point, which is why M (default_big_m) is twice the largest
 attainable expression magnitude (ConstraintParams.max_measure) plus margin.
 In free-orientation mode each directed instance additionally carries a gate
 term M*o or M*(1-o) on its coupler's orientation bit, so only the realized
@@ -205,7 +205,6 @@ def build(
     records: list[ConstraintRecord],
     params: ConstraintParams,
     mode: str,
-    big_m: float | None = None,
 ) -> ModelIR:
     """Assemble the MILP for the given record list.
 
@@ -215,12 +214,12 @@ def build(
         records: output of enumerate_records(topo, mode, params).
         params: bounds, tightenings, window, and DIFF settings.
         mode: "fixed" or "free"; must match how records were enumerated.
-        big_m: optional override; validated against window + |alpha| + the
-            largest base bound.
+
+    Every disjunction uses M = default_big_m(params).
 
     Raises:
-        ValueError: empty records for a coupled topology, mode mismatch with
-            the records, or an invalid big_m.
+        ValueError: empty records for a coupled topology, or a mode
+            mismatch with the records.
     """
     if mode not in ("fixed", "free"):
         raise ValueError(f"mode must be 'fixed' or 'free', got {mode!r}")
@@ -234,12 +233,7 @@ def build(
         raise ValueError("records carry orientation cases not matching the fixed orientation")
 
     lo, hi = params.f_window
-    min_big_m = params.window_width + abs(params.alpha) + max(
-        [params.base_bounds.get(f, 0.0) for f in BOUNDED_FAMILIES], default=0.0
-    )
-    M = default_big_m(params) if big_m is None else float(big_m)
-    if M < min_big_m:
-        raise ValueError(f"big_m {M} below the safe floor {min_big_m}")
+    M = default_big_m(params)
 
     fams_present = sorted(
         {r.family for r in records if r.family in BOUNDED_FAMILIES},

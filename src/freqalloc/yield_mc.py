@@ -140,9 +140,6 @@ class _Compiled:
 
 
 def _compile(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> _Compiled:
-    missing = [q for q in range(topo.n_qubits) if q not in assignment.frequencies]
-    if missing:
-        raise ValueError(f"assignment lacks frequencies for qubits {missing[:5]}")
     idx, coef, consts, bounds = [], [], [], []
     c1c, c1t = [], []
     for rec in physical_records(topo, assignment, params):

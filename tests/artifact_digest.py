@@ -109,7 +109,6 @@ def commands() -> list[list[str]]:
         ("pbc1_fixed_c1tight", "g3x3_pbc1_fixed",
          ["--mode", "fixed", "--params", "c1tight.params.json"]),
         ("g2x2_offgrid", "g2x2", ["--params", "offgrid.params.json"]),
-        ("g2x2_fixed_bigm", "g2x2_fixed", ["--mode", "fixed", "--big-m", "4000"]),
         # the four MILP models the benchmark solves
         ("unit_p5_eps10", "p5", ["--eps-tol", "10"]),
         ("unit_g2x3_eps10", "g2x3", ["--eps-tol", "10"]),

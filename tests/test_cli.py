@@ -2,6 +2,8 @@
 import argparse
 import json
 import pathlib
+import re
+import shlex
 import warnings
 
 import pytest
@@ -17,6 +19,7 @@ import dataclasses
 
 ADAPTER = "python3 -m freqalloc.milp_adapter {lp} {out}"
 UNIT_DIR = pathlib.Path(__file__).parent / "fixtures" / "units"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write_unit_solution(tmp_path, preset="pbc1"):
@@ -124,6 +127,39 @@ def test_build_config_params_override_window(tmp_path):
     assert main(["build", "--topology", str(topo_path), "--window", "4000:9000",
                  "--config", str(cfg), "--out", str(out)]) == 0
     assert "5000 <= f_0 <= 5010" in out.read_text()
+
+
+def test_big_m_has_no_override(tmp_path, grid22):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--topology", str(grid22), "--big-m", "4000", "--out", str(tmp_path / "m.lp")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"big_m": 4000}}))
+    assert main(["build", "--topology", str(grid22), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.lp")]) == 2
+    assert not (tmp_path / "m.lp").exists()
+
+
+def test_sidecar_names_the_running_package(tmp_path, grid22):
+    meta = json.loads((tmp_path / "t.json.meta.json").read_text())
+    version = re.search(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    assert meta["package"] == f"freqalloc {version}"
+
+
+def test_readme_commands_use_exact_flags():
+    """Each --flag of a README command is an option of its subcommand, not a prefix of one."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("freqalloc ")]
+    assert len(commands) >= 7
+    for line in commands:
+        _, command, *words = shlex.split(line)
+        options = subparsers[command]._option_string_actions
+        for word in words:
+            if word.startswith("--"):
+                assert word.split("=")[0] in options, (line, word)
 
 
 # -- solve / verify --------------------------------------------------------------

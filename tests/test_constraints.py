@@ -17,6 +17,7 @@ from freqalloc.constraints import (
     uniform_tightening,
 )
 from freqalloc.topology import Topology, square_grid, uniform_orientation, wrap, BoundaryCondition
+from freqalloc.yield_mc import estimate_yield
 
 from .oracles import naive_violations
 
@@ -104,6 +105,20 @@ def test_check_requires_orientation() -> None:
     topo = path(2)
     with pytest.raises(ValueError):
         check(topo, FrequencyAssignment({0: 5000.0, 1: 5100.0}, {}), default_params())
+
+
+def test_check_and_yield_reject_an_unpriced_qubit_alike() -> None:
+    topo = Topology(2, [(0, 1)], orientation={(0, 1): 0})
+    partial = FrequencyAssignment({0: 5300.0})
+    message = r"^assignment lacks frequencies for qubits \[1\]$"
+    with pytest.raises(ValueError, match=message):
+        check(topo, partial, default_params())
+    with pytest.raises(ValueError, match=message):
+        estimate_yield(partial, topo, default_params(), sigma=1.0, trials=10)
+    # a qubit outside every coupler needs a frequency as well
+    isolated = Topology(3, [(0, 1)], orientation={(0, 1): 0})
+    with pytest.raises(ValueError, match=r"qubits \[2\]$"):
+        check(isolated, FrequencyAssignment({0: 5300.0, 1: 5000.0}), default_params())
 
 
 # -- record enumeration ------------------------------------------------------

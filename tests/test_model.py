@@ -122,16 +122,6 @@ def test_fixed_build_rejects_mismatched_records():
         build(single_edge({(0, 1): 1}), recs, p, "fixed")
 
 
-def test_big_m_floor_validated():
-    p = default_params()
-    topo = single_edge({(0, 1): 0})
-    recs = enumerate_records(topo, "fixed", p)
-    floor = p.window_width + abs(p.alpha) + 30.0
-    build(topo, recs, p, "fixed", big_m=floor)  # at the floor: accepted
-    with pytest.raises(ValueError):
-        build(topo, recs, p, "fixed", big_m=floor - 1.0)
-
-
 def test_linearize_abs_geq_branches():
     rows = linearize_abs_geq("t", {"x": 1.0, "y": -1.0}, -5.0, None, 10.0, 1000.0, "b")
     assert [r.name for r in rows] == ["t_p", "t_n"]
@@ -229,6 +219,17 @@ def test_adapter_rejects_bad_right_hand_side(tmp_path, capsys, rhs):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("line", ["0 <= x <= 1e999", "0 <= x <= -1e999", "1e999 <= x <= 1e999",
+                                  "-1e999 <= x <= 1", "x <= 1e999", "x <= -1e999"])
+def test_adapter_rejects_non_finite_bound(tmp_path, capsys, line):
+    lp = tmp_path / "bad.lp"
+    lp.write_text(f"Maximize\n obj: x\nSubject To\n c1: x <= 1\nBounds\n {line}\nEnd\n")
+    assert adapter_main([str(lp), str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"milp_adapter: bound is not a finite number: {line!r}"]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_adapter_reports_search_figures_in_the_lp_sense():
     p = dataclasses.replace(default_params(), eps_tol=uniform_tightening(10.0))
     m = build_for(Topology(n_qubits=3, edges=[(0, 1), (1, 2)]), p, "free")
@@ -265,12 +266,15 @@ def test_solution_objective_recomputed_from_slacks():
     assert sol.objective_value == pytest.approx(total)
 
 
-def test_big_m_inert():
+def test_big_m_inert(monkeypatch):
     p = default_params()
     topo = Topology(n_qubits=3, edges=[(0, 1), (1, 2)])
     recs = enumerate_records(topo, "free", p)
-    a = solve_model(build(topo, recs, p, "free"))
-    b = solve_model(build(topo, recs, p, "free", big_m=2.0 * default_big_m(p)))
+    model_a = build(topo, recs, p, "free")
+    monkeypatch.setattr("freqalloc.model.default_big_m", lambda params: 2.0 * default_big_m(params))
+    model_b = build(topo, recs, p, "free")
+    assert export_lp(model_b) != export_lp(model_a)  # the doubled M reached the rows
+    a, b = solve_model(model_a), solve_model(model_b)
     assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
 
 

@@ -122,7 +122,9 @@ EPS10 = dataclasses.replace(default_params(), eps_tol=uniform_tightening(10.0))
 
 # (case, topology, params, mode, optimum recorded with one binary per absolute-value
 # record, binaries with the sign presolve); the models had 54, 123, 240, 252, 66
-# and 60 binaries without it
+# and 60 binaries without it.  The last three optima were recorded with the
+# presolve in place and M = default_big_m; an M of 880 MHz (window + |alpha| +
+# the largest base bound) gave 3300, 3770 and 1960 on them.
 PINNED = [
     ("p5_free_eps10", lambda: square_grid(1, 5), EPS10, "free", 1870.0, 18),
     ("g2x3_free_eps10", lambda: square_grid(2, 3), EPS10, "free", 1386.6666666666665, 41),
@@ -133,6 +135,11 @@ PINNED = [
     ("g2x2_c1tight", lambda: square_grid(2, 2),
      ConstraintParams.from_json_dict({"eps_tol": {"C1": 6.0, "S1": 2.5}}), "free",
      1570.0000000000077, 20),
+    ("p3_free", lambda: Topology(3, [(0, 1), (1, 2)]), default_params(), "free", 3403.0, 8),
+    ("star4_free", lambda: Topology(4, [(0, 1), (0, 2), (0, 3)]), default_params(), "free",
+     4030.0, 15),
+    ("p5_free_c1off", lambda: square_grid(1, 5),
+     dataclasses.replace(default_params(), c1_enabled=False), "free", 4720.000000000001, 54),
 ]
 
 
