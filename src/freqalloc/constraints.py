@@ -25,11 +25,17 @@ LINEAR_FORMS is the single encoding of the bounded families' expressions:
 model building, checking, verification, the annealer and the yield sampler
 all read it.  Its term order fixes the variable order of the LP rows and the
 summation order of the yield sums, so reordering terms changes artifacts.
+
+instance_table lays out every instance except DIFF as array columns in one
+pass.  enumerate_records turns that table into records; check and the yield
+sampler read its columns directly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .topology import Edge, Topology, edge_key, parse_edge_key
 
@@ -277,29 +283,105 @@ def record_margin(
 
 # -- enumeration -------------------------------------------------------------
 
+# Family codes of the instance table: its family column indexes this tuple.
+TABLE_FAMILIES = ("A1", "A2", "C1", "E1", "E2", "D1", "S1", "S2", "T1")
 
-def _directed_records(
-    neighbors: list[list[int]],
-    edge_index: int,
-    pair: Edge,
-    case: int,
-    params: ConstraintParams,
-) -> list[ConstraintRecord]:
-    ctrl, tgt = (pair[0], pair[1]) if case == 0 else (pair[1], pair[0])
-    out = []
-    if params.c1_enabled:
-        out.append(ConstraintRecord("C1", (ctrl, tgt), (edge_index,), case, pair))
-    for fam in ("E1", "E2", "D1"):
-        if fam in params.base_bounds:
-            out.append(ConstraintRecord(fam, (ctrl, tgt), (edge_index,), case, pair))
-    # spectators: the target's distinct neighbors other than the control
-    for k in neighbors[tgt]:
-        if k == ctrl:
-            continue
-        for fam in ("S1", "S2", "T1"):
-            if fam in params.base_bounds:
-                out.append(ConstraintRecord(fam, (ctrl, tgt, k), (edge_index,), case, pair))
-    return out
+# LINEAR_FORMS per family code: term roles and coefficients padded to three
+# with (role 0, coefficient 0), and the constant's multiple of alpha; C1 has none.
+_FORMS = [LINEAR_FORMS.get(fam, ((), 0.0)) for fam in TABLE_FAMILIES]
+_ROLE = np.array([[r for r, _ in terms] + [0] * (3 - len(terms)) for terms, _ in _FORMS])
+_COEF = np.array([[c for _, c in terms] + [0.0] * (3 - len(terms)) for terms, _ in _FORMS])
+_K = np.array([k for _, k in _FORMS])
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class InstanceTable:
+    """Every instance except DIFF as array columns, one row per record, in record order.
+
+    family indexes TABLE_FAMILIES; parts holds the participants in role order
+    (the first n_parts are real, the rest 0); case is the orientation case,
+    -1 for undirected rows.  Each row's expression is sum(coef * f[idx]) +
+    const, the LINEAR_FORMS entry with padding qubit 0 and coefficient 0 (all
+    zero for C1), and bound is the family's base bound (0 for C1).
+    """
+
+    family: np.ndarray   # (n,)
+    parts: np.ndarray    # (n, 3)
+    n_parts: np.ndarray  # (n,)
+    edge: np.ndarray     # (n,)
+    case: np.ndarray     # (n,)
+    idx: np.ndarray      # (n, 3)
+    coef: np.ndarray     # (n, 3)
+    const: np.ndarray    # (n,)
+    bound: np.ndarray    # (n,)
+
+    @property
+    def c1(self) -> np.ndarray:
+        return self.family == TABLE_FAMILIES.index("C1")
+
+
+def instance_table(
+    topo: Topology, orientation: dict[Edge, int] | None, params: ConstraintParams
+) -> InstanceTable:
+    """Build the instance table in one array pass.
+
+    orientation selects one orientation case per coupler pair; None emits
+    both cases of every coupler.  Per edge index the rows are A1, A2, then
+    per case C1, E1, E2, D1 and S1, S2, T1 for each spectator in ascending
+    order: the target's distinct neighbors other than the control.
+    """
+    n, edges = topo.n_qubits, np.array(topo.edges, dtype=np.intp).reshape(-1, 2)
+    n_cases = 2 if orientation is None else 1
+    # the distinct neighbors of qubit q, ascending, are nbr[ptr[q]:ptr[q + 1]]
+    key = np.unique(np.concatenate((edges, edges[:, ::-1])) @ np.array([n, 1]))
+    nbr, ptr = key % n, np.searchsorted(key // n, np.arange(n + 1))
+    undirected = [f for f in ("A1", "A2") if f in params.base_bounds]
+    direct = ["C1"] * params.c1_enabled + [f for f in ("E1", "E2", "D1") if f in params.base_bounds]
+    spect = [f for f in ("S1", "S2", "T1") if f in params.base_bounds]
+
+    # one block of directed rows per (edge, case), edge-major
+    blk_edge = np.repeat(np.arange(len(edges)), n_cases)
+    case = (np.tile([0, 1], len(edges)) if orientation is None
+            else np.array([orientation[pair] for pair in topo.edges], dtype=np.intp))
+    a, b = edges[blk_edge, 0], edges[blk_edge, 1]
+    ctrl, tgt = np.where(case == 0, a, b), np.where(case == 0, b, a)
+    deg = np.diff(ptr)[tgt]
+    # per edge a segment of undirected rows, then one segment per block; the
+    # first row of each segment is the number of rows before it
+    seg = np.column_stack((np.full(len(edges), len(undirected)),
+                           (len(direct) + len(spect) * (deg - 1)).reshape(-1, n_cases)))
+    start = (np.cumsum(seg) - seg.ravel()).reshape(seg.shape)
+    rows = int(seg.sum())
+    family, n_parts, edge = (np.zeros(rows, np.intp) for _ in range(3))
+    parts, cases = np.zeros((rows, 3), np.intp), np.full(rows, -1)
+
+    def put(pos, fams, cols, e, c):
+        family[pos] = [TABLE_FAMILIES.index(f) for f in fams]
+        for j, col in enumerate(cols):
+            parts[pos, j] = col[:, None]
+        n_parts[pos], edge[pos], cases[pos] = len(cols), e[:, None], c[:, None]
+
+    put(start[:, :1] + np.arange(len(undirected)), undirected, edges.T,
+        np.arange(len(edges)), np.full(len(edges), -1))
+    blk_start = start[:, 1:].ravel()
+    put(blk_start[:, None] + np.arange(len(direct)), direct, (ctrl, tgt), blk_edge, case)
+    # spectator k of a block: each neighbor of its target but the control; s
+    # numbers the spectators within the block
+    blk = np.repeat(np.arange(len(tgt)), deg)
+    k = nbr[np.arange(len(blk)) + np.repeat(ptr[tgt] - (np.cumsum(deg) - deg), deg)]
+    keep = k != ctrl[blk]
+    blk, k = blk[keep], k[keep]
+    s = np.arange(len(blk)) - np.repeat(np.cumsum(deg - 1) - (deg - 1), deg - 1)
+    put((blk_start[blk] + len(direct) + s * len(spect))[:, None] + np.arange(len(spect)),
+        spect, (ctrl[blk], tgt[blk], k), blk_edge[blk], case[blk])
+
+    coef = _COEF[family]
+    bounds = np.array([params.base_bounds.get(fam, 0.0) for fam in TABLE_FAMILIES])
+    return InstanceTable(
+        family, parts, n_parts, edge, cases,
+        idx=np.where(coef != 0, np.take_along_axis(parts, _ROLE[family], axis=1), 0),
+        coef=coef, const=_K[family] * params.alpha, bound=bounds[family],
+    )
 
 
 def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> list[ConstraintRecord]:
@@ -314,8 +396,8 @@ def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> li
         params: families, bounds, and the DIFF setting.
 
     Returns:
-        Records in deterministic order: per edge index the undirected
-        families, then directed cases, then DIFF pairs lexicographically.
+        Records in deterministic order: the rows of instance_table, then DIFF
+        pairs lexicographically.
     """
     if mode not in ("fixed", "free"):
         raise ValueError(f"mode must be 'fixed' or 'free', got {mode!r}")
@@ -326,36 +408,27 @@ def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> li
         if missing:
             raise ValueError(f"fixed mode lacks orientation for {sorted(missing)}")
 
-    adjacent: list[set[int]] = [set() for _ in range(topo.n_qubits)]
-    for a, b in topo.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    neighbors = [sorted(s) for s in adjacent]
-
-    records: list[ConstraintRecord] = []
-    for idx, pair in enumerate(topo.edges):
-        for fam in ("A1", "A2"):
-            if fam in params.base_bounds:
-                records.append(ConstraintRecord(fam, pair, (idx,)))
-        cases = (topo.orientation[pair],) if mode == "fixed" else (0, 1)
-        for case in cases:
-            records.extend(_directed_records(neighbors, idx, pair, case, params))
-
+    t = instance_table(topo, topo.orientation if mode == "fixed" else None, params)
+    edges, cases = t.edge.tolist(), t.case.tolist()
+    records = list(map(
+        ConstraintRecord,
+        np.array(TABLE_FAMILIES, dtype=object)[t.family].tolist(),
+        [(a, b, k) if n == 3 else (a, b) for a, b, k, n in zip(*t.parts.T.tolist(), t.n_parts.tolist())],
+        [(e,) for e in edges],
+        [c if c >= 0 else None for c in cases],
+        [topo.edges[e] if c >= 0 else None for e, c in zip(edges, cases)],
+    ))
     if params.delta_diff > 0:
-        for i, j in edge_difference_pairs(topo):
-            (p, q), (u, v) = topo.edges[i], topo.edges[j]
-            records.append(ConstraintRecord("DIFF", (p, q, u, v), (i, j)))
+        records += [ConstraintRecord("DIFF", topo.edges[i] + topo.edges[j], (i, j))
+                    for i, j in edge_difference_pairs(topo).tolist()]
     return records
 
 
-def edge_difference_pairs(topo: Topology) -> list[tuple[int, int]]:
-    """Vertex-disjoint coupler pairs as (edge_index, edge_index), i < j."""
-    pairs = []
-    for i in range(len(topo.edges)):
-        for j in range(i + 1, len(topo.edges)):
-            if not set(topo.edges[i]) & set(topo.edges[j]):
-                pairs.append((i, j))
-    return pairs
+def edge_difference_pairs(topo: Topology) -> np.ndarray:
+    """Vertex-disjoint coupler pairs as rows (edge_index, edge_index), i < j, ascending."""
+    a, b = np.array(topo.edges, dtype=np.intp).reshape(-1, 2).T
+    apart = (a[:, None] != a) & (a[:, None] != b) & (b[:, None] != a) & (b[:, None] != b)
+    return np.argwhere(np.triu(apart, 1))
 
 
 # -- checking ---------------------------------------------------------------
@@ -400,7 +473,7 @@ class ViolationReport:
             "ok": self.ok,
             "n_instances": self.n_instances,
             "n_violations": len(self.violations),
-            "min_margin_mhz": self.min_margin,
+            "min_margin_mhz": self.min_margin if self.n_instances else None,
             "family_counts": self.family_counts(),
             "violations": [v.to_json_dict() for v in self.violations],
         }
@@ -416,10 +489,10 @@ def realized_orientation(topo: Topology, assignment: FrequencyAssignment) -> dic
     return merged
 
 
-def physical_records(
+def realized_table(
     topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams
-) -> list[ConstraintRecord]:
-    """Instances in the realized orientation with base bounds and no DIFF.
+) -> tuple[InstanceTable, np.ndarray]:
+    """The instance table in the realized orientation, and the frequencies by qubit id.
 
     Raises:
         ValueError: a qubit, isolated ones included, without a frequency, or
@@ -428,26 +501,8 @@ def physical_records(
     missing = [q for q in range(topo.n_qubits) if q not in assignment.frequencies]
     if missing:
         raise ValueError(f"assignment lacks frequencies for qubits {missing[:5]}")
-    fixed = replace(topo, orientation=realized_orientation(topo, assignment))
-    return enumerate_records(fixed, "fixed", replace(params, eps_tol={}, delta_diff=0.0))
-
-
-def margin_report(
-    records: list[ConstraintRecord],
-    freqs: dict[int, float],
-    params: ConstraintParams,
-    tightened: bool,
-    tol: float = 0.0,
-) -> ViolationReport:
-    """Margins of every record; an instance is violated iff its margin < -tol."""
-    violations = []
-    min_margin = float("inf")
-    for rec in records:
-        measured, bound, margin = record_margin(rec, freqs, params, tightened)
-        min_margin = min(min_margin, margin)
-        if margin < -tol:
-            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
-    return ViolationReport(n_instances=len(records), violations=violations, min_margin=min_margin)
+    freqs = np.array([assignment.frequencies[q] for q in range(topo.n_qubits)], dtype=float)
+    return instance_table(topo, realized_orientation(topo, assignment), params), freqs
 
 
 def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> ViolationReport:
@@ -455,7 +510,23 @@ def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintPar
 
     Orientations come from the assignment (falling back to the topology),
     bounds are the untightened base bounds, and DIFF is not part of the
-    physical check.  An instance is violated iff its margin is < 0.
+    physical check.  An instance is violated iff its margin is < 0.  The
+    margins are those of record_margin, in the same float operations.
     """
-    records = physical_records(topo, assignment, params)
-    return margin_report(records, assignment.frequencies, params, tightened=False)
+    t, x = realized_table(topo, assignment, params)
+    # record_margin's sum starts from 0.0 and has no padding term: either only sets the
+    # sign of a zero sum, which abs drops
+    fc, ft = x[t.parts[:, 0]], x[t.parts[:, 1]]
+    terms = x[t.idx] * t.coef
+    measured = np.where(t.c1, np.minimum(fc - ft, ft - fc - params.alpha),
+                        np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + t.const))
+    margin = measured - t.bound
+    bad = np.flatnonzero(margin < 0)
+    violations = [
+        Violation(TABLE_FAMILIES[f], tuple(p[:n]), m, b, g)
+        for f, p, n, m, b, g in zip(t.family[bad].tolist(), t.parts[bad].tolist(),
+                                    t.n_parts[bad].tolist(), measured[bad].tolist(),
+                                    t.bound[bad].tolist(), margin[bad].tolist())
+    ]
+    min_margin = float(margin[margin.argmin()]) if len(margin) else float("inf")
+    return ViolationReport(n_instances=len(margin), violations=violations, min_margin=min_margin)

@@ -22,9 +22,9 @@ from .constraints import (
     BOUNDED_FAMILIES,
     ConstraintParams,
     ConstraintRecord,
+    Violation,
     ViolationReport,
     linear_form,
-    margin_report,
     measured_value,
     record_margin,
 )
@@ -200,11 +200,16 @@ def verify(
     """
     freqs = solution.frequencies
     active = _active_records(records, solution.orientations)
+    violations, min_margin = [], float("inf")
     for rec in active:
         for q in rec.participants:
             if q not in freqs:
                 raise ValueError(f"solution lacks a frequency for qubit {q}")
-    return margin_report(active, freqs, params, tightened, tol)
+        measured, bound, margin = record_margin(rec, freqs, params, tightened)
+        min_margin = min(min_margin, margin)
+        if margin < -tol:
+            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
+    return ViolationReport(n_instances=len(active), violations=violations, min_margin=min_margin)
 
 
 # -- simulated annealing fallback ------------------------------------------------

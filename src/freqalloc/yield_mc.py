@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (
-    ConstraintParams,
-    FrequencyAssignment,
-    linear_form,
-    physical_records,
-)
+from .constraints import ConstraintParams, FrequencyAssignment, realized_table
 from .topology import Topology
 
 
@@ -134,34 +129,20 @@ class _Compiled:
     c1_tgt: np.ndarray     # (n_c1,)
     alpha: float
 
-    @property
-    def n_instances(self) -> int:
-        return len(self.abs_bound) + len(self.c1_ctrl)
-
 
 def _compile(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> _Compiled:
-    idx, coef, consts, bounds = [], [], [], []
-    c1c, c1t = [], []
-    for rec in physical_records(topo, assignment, params):
-        if rec.family == "C1":
-            c1c.append(rec.participants[0])
-            c1t.append(rec.participants[1])
-            continue
-        terms, const = linear_form(rec, params.alpha)
-        terms += [(0, 0.0)] * (3 - len(terms))
-        idx.append([q for q, _ in terms])
-        coef.append([c for _, c in terms])
-        consts.append(const)
-        bounds.append(params.base_bound(rec.family))
+    """A view of the realized instance table: its bounded rows and its C1 rows."""
+    t, base = realized_table(topo, assignment, params)
+    c1, bounded = t.c1, ~t.c1
     return _Compiled(
         n_qubits=topo.n_qubits,
-        base=np.array([assignment.frequencies[q] for q in range(topo.n_qubits)]),
-        abs_idx=np.array(idx, dtype=np.intp).reshape(-1, 3),
-        abs_coef=np.array(coef, dtype=float).reshape(-1, 3),
-        abs_const=np.array(consts, dtype=float),
-        abs_bound=np.array(bounds, dtype=float),
-        c1_ctrl=np.array(c1c, dtype=np.intp),
-        c1_tgt=np.array(c1t, dtype=np.intp),
+        base=base,
+        abs_idx=t.idx[bounded],
+        abs_coef=t.coef[bounded],
+        abs_const=t.const[bounded],
+        abs_bound=t.bound[bounded],
+        c1_ctrl=t.parts[c1, 0],
+        c1_tgt=t.parts[c1, 1],
         alpha=params.alpha,
     )
 

@@ -9,11 +9,11 @@ The artifacts are LP files (among them the four models the benchmark
 solves), anneal solutions (including windows, alpha, gap separations and
 grid steps that are not exact in binary), verify reports at base and
 tightened bounds, yield and threshold CSVs (some sharded with --jobs 2,
-one threshold escalating to its trial cap), and the chip, report and
-yield files of three tilings.  The .meta.json sidecars,
-which hold wall-clock data, are deleted; transcript.txt keeps each
-command's exit code, stdout and stderr.  Outputs from two trees then
-compare with
+one threshold escalating to its trial cap), the chip, report and yield
+files of three tilings, and the chip and report of a fourth whose seams
+collide.  The .meta.json sidecars, which hold wall-clock data, are
+deleted; transcript.txt keeps each command's exit code, stdout and stderr.
+Outputs from two trees then compare with
 
     diff -r OLD_OUTDIR NEW_OUTDIR
 
@@ -151,6 +151,10 @@ def commands() -> list[list[str]]:
         cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json",
                      "--bc", "PBC1", "--nx", str(n), "--ny", str(n), "--sigma", "1.75,2.25",
                      "--trials", trials, "--seed", "1", "--out", f"chip{n}x{n}"])
+    # a PBC1 unit tiled under PBC2: the seams collide, so the report lists violations
+    cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json",
+                 "--bc", "PBC2", "--nx", "4", "--ny", "4", "--fill-orientation", "0",
+                 "--out", "chip4x4_pbc2"])
     return cmds
 
 

@@ -207,6 +207,20 @@ def test_verify_flags_violation_exit_4(tmp_path, grid22):
                  "--eps-tol", "10"]) == 4
 
 
+def test_report_without_instances_is_strict_json(tmp_path):
+    topo, sol, report = (tmp_path / name for name in ("t.json", "s.json", "r.json"))
+    assert main(["topo", "--rows", "1", "--cols", "1", "--out", str(topo)]) == 0
+    assert main(["solve", "--topology", str(topo), "--backend", "anneal", "--out", str(sol)]) == 0
+    assert main(["verify", "--topology", str(topo), "--solution", str(sol),
+                 "--out", str(report)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert doc["n_instances"] == 0 and doc["min_margin_mhz"] is None
+
+
 def test_solve_missing_command_exit_2(tmp_path, grid22, monkeypatch):
     monkeypatch.delenv("FREQALLOC_SOLVER_CMD", raising=False)
     assert main(["solve", "--topology", str(grid22),

@@ -221,7 +221,7 @@ def test_family_scoping_respects_bounds_map() -> None:
 
 def test_edge_difference_pairs_path4() -> None:
     topo = path(4)
-    assert edge_difference_pairs(topo) == [(0, 2)]  # (0,1) vs (2,3)
+    assert edge_difference_pairs(topo).tolist() == [[0, 2]]  # (0,1) vs (2,3)
 
 
 def test_diff_records_emitted_only_when_enabled() -> None:

@@ -12,11 +12,12 @@ import pytest
 from freqalloc import yield_mc
 from freqalloc.assembly import preset_bc, tile
 from freqalloc.constraints import (
+    TABLE_FAMILIES,
     FrequencyAssignment,
     check,
     default_params,
     enumerate_records,
-    physical_records,
+    realized_table,
 )
 from freqalloc.milp_adapter import solve_lp
 from freqalloc.model import Solution, build, export_lp, import_solution
@@ -249,7 +250,8 @@ def test_chunked_kernel_matches_einsum_and_check(monkeypatch):
 
     # 5-instance chunks for a 40-trial block; 12-trial blocks of 16 qubits (12, 12, 12, 4)
     monkeypatch.setattr(yield_mc, "_WORK_BYTES", 5 * 8 * 40)
-    families = [r.family for r in physical_records(topo, asg, p) if r.family != "C1"]
+    table = realized_table(topo, asg, p)[0]
+    families = [TABLE_FAMILIES[f] for f in table.family[~table.c1]]
     assert any(len(set(families[i:i + 5])) > 1 for i in range(0, len(families), 5))
     assert len(comp.abs_bound) % 5 and len(comp.c1_ctrl) % 5
     ok, viol = yield_mc._eval_block(comp, freqs)
