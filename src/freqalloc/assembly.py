@@ -81,9 +81,6 @@ class ChipAssembly:
     seam_edges: list[int] = field(default_factory=list)
     edge_image: dict[int, int] = field(default_factory=dict)
 
-    def seam_pairs(self) -> set[Edge]:
-        return {self.chip_topology.edges[i] for i in self.seam_edges}
-
     def to_json_dict(self) -> dict:
         return {
             "topology": self.chip_topology.to_json_dict(),
@@ -244,7 +241,7 @@ def chip_check(chip: ChipAssembly, params: ConstraintParams) -> ViolationReport:
 
 def seam_violations(chip: ChipAssembly, report: ViolationReport) -> list:
     """Violations touching at least one seam coupler."""
-    seams = chip.seam_pairs()
+    seams = {chip.chip_topology.edges[i] for i in chip.seam_edges}
 
     def pairs_of(parts: tuple[int, ...]) -> list[Edge]:
         if len(parts) == 2:

@@ -7,7 +7,8 @@ byte-deterministic for a given config and seed; wall-clock metadata goes
 to a sidecar FILE.meta.json, never into the artifact itself.
 
 Exit codes: 0 success, 2 usage or config error, 3 solver failure,
-4 infeasible precondition (failed verification or a dirty chip report).
+4 infeasible precondition (failed verification, also of a solution that
+solve imported, or a dirty chip report).
 
 A JSON config file passed with --config overrides command-line flags
 section by section; unknown sections or keys are rejected before any
@@ -91,26 +92,26 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-        def section(name: str, allowed: set) -> dict:
+        def section(name: str, allowed: set | None) -> dict:
             d = raw.get(name, {})
             if not isinstance(d, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(d) - allowed
+            bad = set(d) - allowed if allowed is not None else ()
             if bad:
                 raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
             return d
 
         params = raw.get("params")
         if params is not None:
-            ConstraintParams.from_json_dict(params)  # schema check up front
-        solver = raw.get("solver", {})
+            ConstraintParams.from_json_dict(section("params", None))  # schema check up front
+        solver = section("solver", None)
         if solver:
             SolverConfig.from_json_dict(solver)
         return RunConfig(
             topology=section("topology", _TOPOLOGY_KEYS),
             params=params,
             model=section("model", _MODEL_KEYS),
-            solver=solver if isinstance(solver, dict) else {},
+            solver=solver,
             yield_opts=section("yield", _YIELD_KEYS),
             output=section("output", _OUTPUT_KEYS),
         )
@@ -329,7 +330,22 @@ def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     _write_json(out, sol.to_json_dict(), argv, extra)
     obj = "none" if sol.objective_value is None else f"{sol.objective_value:.6g}"
     print(f"wrote {out}: status {sol.status}, objective {obj}")
+    if scfg.backend == "external" and sol.status in ("optimal", "feasible"):
+        report = verify(sol, records, params, tightened=True)
+        if not report.ok:
+            return _verdict(report, "tightened")
     return EXIT_OK
+
+
+def _verdict(report, bounds: str) -> int:
+    """Print verify's OK or FAIL line and return its exit code."""
+    if report.ok:
+        print(f"OK: {report.n_instances} instances at {bounds} bounds, "
+              f"min margin {report.min_margin:.6g} MHz")
+        return EXIT_OK
+    print(f"FAIL: {len(report.violations)} of {report.n_instances} instances violated "
+          f"at {bounds} bounds (worst margin {report.min_margin:.6g} MHz)")
+    return EXIT_INFEASIBLE
 
 
 def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
@@ -338,21 +354,13 @@ def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
     sol = _load_solution(args.solution)
     if sol.status not in ("optimal", "feasible"):
         raise ConfigError(f"solution status is {sol.status!r}; nothing to verify")
-    merged = dict(topo.orientation or {})
-    merged.update(sol.orientations)
-    records = enumerate_records(topo, "free", params)
-    report = verify(replace(sol, orientations=merged), records, params,
+    sol = replace(sol, orientations={**(topo.orientation or {}), **sol.orientations})
+    report = verify(sol, enumerate_records(topo, "free", params), params,
                     tightened=(args.bounds == "tightened"))
     out = _out_path(args, cfg, required=False)
     if out:
         _write_json(out, report.to_json_dict(), argv)
-    if report.ok:
-        print(f"OK: {report.n_instances} instances at {args.bounds} bounds, "
-              f"min margin {report.min_margin:.6g} MHz")
-        return EXIT_OK
-    print(f"FAIL: {len(report.violations)} of {report.n_instances} instances violated "
-          f"at {args.bounds} bounds (worst margin {report.min_margin:.6g} MHz)")
-    return EXIT_INFEASIBLE
+    return _verdict(report, args.bounds)
 
 
 def _yield_opts(args, cfg: RunConfig) -> dict:

@@ -27,13 +27,15 @@ all read it.  Its term order fixes the variable order of the LP rows and the
 summation order of the yield sums, so reordering terms changes artifacts.
 
 instance_table lays out every instance except DIFF as array columns in one
-pass.  enumerate_records turns that table into records; check and the yield
-sampler read its columns directly.
+pass, and enumerate_records adds the DIFF pairs as an edge-index column.
+price prices a table for check and solve.verify; the yield sampler reads its
+columns, and the model builder and the annealer iterate its records.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +159,8 @@ class ConstraintParams:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ConstraintParams":
+        if not isinstance(d, dict):
+            raise ValueError("constraint parameters must be a JSON object")
         known = {
             "base_bounds", "alpha", "eps_tol", "delta_diff",
             "f_window", "c1_enabled", "diff_separation",
@@ -164,6 +168,10 @@ class ConstraintParams:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown constraint parameter keys: {sorted(unknown)}")
+        window = d.get("f_window", [0, 0])
+        if not (all(isinstance(d.get(key, {}), dict) for key in ("base_bounds", "eps_tol"))
+                and isinstance(window, list) and len(window) == 2):
+            raise ValueError("base_bounds and eps_tol must be objects, f_window a [lo, hi] list")
         kwargs: dict = {}
         if "base_bounds" in d:
             kwargs["base_bounds"] = {str(k): float(v) for k, v in d["base_bounds"].items()}
@@ -240,45 +248,8 @@ class ConstraintRecord:
 
 def linear_form(record: ConstraintRecord, alpha: float) -> tuple[list[tuple[int, float]], float]:
     """The (qubit, coefficient) terms and constant whose absolute value the record bounds."""
-    if record.family not in LINEAR_FORMS:
-        raise ValueError(f"{record.family} is not an absolute-value family")
     terms, k = LINEAR_FORMS[record.family]
     return [(record.participants[role], c) for role, c in terms], k * alpha
-
-
-def measured_value(record: ConstraintRecord, freqs: dict[int, float], params: ConstraintParams) -> float:
-    """Evaluate the record's expression at the given frequencies."""
-    p = record.participants
-    fam = record.family
-    if fam == "C1":
-        fc, ft = freqs[p[0]], freqs[p[1]]
-        return min(fc - ft, ft - fc - params.alpha)
-    if fam == "DIFF":
-        gap_k = abs(freqs[p[0]] - freqs[p[1]])
-        gap_l = abs(freqs[p[2]] - freqs[p[3]])
-        return abs(gap_k - gap_l)
-    if fam not in LINEAR_FORMS:
-        raise ValueError(f"unknown family {fam!r}")
-    terms, k = LINEAR_FORMS[fam]
-    value = 0.0
-    for role, c in terms:
-        value += c * freqs[p[role]]
-    return abs(value + k * params.alpha)
-
-
-def record_margin(
-    record: ConstraintRecord,
-    freqs: dict[int, float],
-    params: ConstraintParams,
-    tightened: bool,
-) -> tuple[float, float, float]:
-    """Return (measured, bound, margin); the instance holds iff margin >= 0."""
-    measured = measured_value(record, freqs, params)
-    fam = record.family
-    bound = params.tightened_bound(fam) if tightened else params.base_bound(fam)
-    if fam == "DIFF" and not params.diff_separation:
-        return measured, bound, bound - measured
-    return measured, bound, measured - bound
 
 
 # -- enumeration -------------------------------------------------------------
@@ -296,13 +267,15 @@ _K = np.array([k for _, k in _FORMS])
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class InstanceTable:
-    """Every instance except DIFF as array columns, one row per record, in record order.
+    """Every instance as array columns: one row per instance except DIFF, then the DIFF pairs.
 
     family indexes TABLE_FAMILIES; parts holds the participants in role order
     (the first n_parts are real, the rest 0); case is the orientation case,
     -1 for undirected rows.  Each row's expression is sum(coef * f[idx]) +
     const, the LINEAR_FORMS entry with padding qubit 0 and coefficient 0 (all
-    zero for C1), and bound is the family's base bound (0 for C1).
+    zero for C1), and bound is the family's base bound (0 for C1).  diff rows
+    are the edge indexes (i, j) of two vertex-disjoint couplers.  Iterating
+    yields the equivalent ConstraintRecords in order, built on first use.
     """
 
     family: np.ndarray   # (n,)
@@ -314,10 +287,34 @@ class InstanceTable:
     coef: np.ndarray     # (n, 3)
     const: np.ndarray    # (n,)
     bound: np.ndarray    # (n,)
+    diff: np.ndarray     # (n_diff, 2)
+    edges: list[Edge]
+    n_qubits: int
 
     @property
     def c1(self) -> np.ndarray:
         return self.family == TABLE_FAMILIES.index("C1")
+
+    def __len__(self) -> int:
+        return len(self.family) + len(self.diff)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @cached_property
+    def _records(self) -> list[ConstraintRecord]:
+        edges, cases = self.edge.tolist(), self.case.tolist()
+        records = list(map(
+            ConstraintRecord,
+            np.array(TABLE_FAMILIES, dtype=object)[self.family].tolist(),
+            [(a, b, k) if n == 3 else (a, b)
+             for a, b, k, n in zip(*self.parts.T.tolist(), self.n_parts.tolist())],
+            [(e,) for e in edges],
+            [c if c >= 0 else None for c in cases],
+            [self.edges[e] if c >= 0 else None for e, c in zip(edges, cases)],
+        ))
+        return records + [ConstraintRecord("DIFF", self.edges[i] + self.edges[j], (i, j))
+                          for i, j in self.diff.tolist()]
 
 
 def instance_table(
@@ -381,11 +378,12 @@ def instance_table(
         family, parts, n_parts, edge, cases,
         idx=np.where(coef != 0, np.take_along_axis(parts, _ROLE[family], axis=1), 0),
         coef=coef, const=_K[family] * params.alpha, bound=bounds[family],
+        diff=np.empty((0, 2), np.intp), edges=topo.edges, n_qubits=n,
     )
 
 
-def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> list[ConstraintRecord]:
-    """Materialize every constraint instance for the topology.
+def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> InstanceTable:
+    """Every constraint instance of the topology, as one instance table.
 
     Args:
         topo: coupler graph; fixed mode requires topo.orientation to cover
@@ -396,8 +394,8 @@ def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> li
         params: families, bounds, and the DIFF setting.
 
     Returns:
-        Records in deterministic order: the rows of instance_table, then DIFF
-        pairs lexicographically.
+        The rows of instance_table, then, when delta_diff > 0, every
+        vertex-disjoint coupler pair as a DIFF instance, lexicographically.
     """
     if mode not in ("fixed", "free"):
         raise ValueError(f"mode must be 'fixed' or 'free', got {mode!r}")
@@ -409,19 +407,7 @@ def enumerate_records(topo: Topology, mode: str, params: ConstraintParams) -> li
             raise ValueError(f"fixed mode lacks orientation for {sorted(missing)}")
 
     t = instance_table(topo, topo.orientation if mode == "fixed" else None, params)
-    edges, cases = t.edge.tolist(), t.case.tolist()
-    records = list(map(
-        ConstraintRecord,
-        np.array(TABLE_FAMILIES, dtype=object)[t.family].tolist(),
-        [(a, b, k) if n == 3 else (a, b) for a, b, k, n in zip(*t.parts.T.tolist(), t.n_parts.tolist())],
-        [(e,) for e in edges],
-        [c if c >= 0 else None for c in cases],
-        [topo.edges[e] if c >= 0 else None for e, c in zip(edges, cases)],
-    ))
-    if params.delta_diff > 0:
-        records += [ConstraintRecord("DIFF", topo.edges[i] + topo.edges[j], (i, j))
-                    for i, j in edge_difference_pairs(topo).tolist()]
-    return records
+    return replace(t, diff=edge_difference_pairs(topo)) if params.delta_diff > 0 else t
 
 
 def edge_difference_pairs(topo: Topology) -> np.ndarray:
@@ -505,28 +491,55 @@ def realized_table(
     return instance_table(topo, realized_orientation(topo, assignment), params), freqs
 
 
-def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> ViolationReport:
-    """Physical collision check: every family instance at base bounds.
+def price(t: InstanceTable, x: np.ndarray, rows, params: ConstraintParams, tightened: bool,
+          tol: float = 0.0) -> ViolationReport:
+    """The report of the selected rows (a mask, or slice(None)) and all DIFF pairs of t.
 
-    Orientations come from the assignment (falling back to the topology),
-    bounds are the untightened base bounds, and DIFF is not part of the
-    physical check.  An instance is violated iff its margin is < 0.  The
-    margins are those of record_margin, in the same float operations.
+    x holds every qubit's frequency by id; bounds are base, or base + eps when
+    tightened.  A row measures abs(((c0*x0 + c1*x1) + c2*x2) + const), C1
+    min(fc - ft, ft - fc - alpha), DIFF abs(abs(fp - fq) - abs(fu - fv)).  The
+    margin is measured - bound (bound - measured for DIFF in proximity mode),
+    violated below -tol; the minimum is the first smallest.
     """
-    t, x = realized_table(topo, assignment, params)
-    # record_margin's sum starts from 0.0 and has no padding term: either only sets the
-    # sign of a zero sum, which abs drops
-    fc, ft = x[t.parts[:, 0]], x[t.parts[:, 1]]
-    terms = x[t.idx] * t.coef
-    measured = np.where(t.c1, np.minimum(fc - ft, ft - fc - params.alpha),
-                        np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + t.const))
-    margin = measured - t.bound
-    bad = np.flatnonzero(margin < 0)
+    family, parts, n_parts = t.family[rows], t.parts[rows], t.n_parts[rows]
+    # a padding term (qubit 0, coefficient 0) only sets the sign of a zero sum, which abs drops
+    fc, ft = x[parts[:, 0]], x[parts[:, 1]]
+    terms = x[t.idx[rows]] * t.coef[rows]
+    measured = np.where(t.c1[rows], np.minimum(fc - ft, ft - fc - params.alpha),
+                        np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + t.const[rows]))
+    bound = t.bound[rows]
+    if tightened:
+        bound = bound + np.array([params.tightening(f) for f in TABLE_FAMILIES])[family]
+    margin = measured - bound
+    bad = np.flatnonzero(margin < -tol)
     violations = [
         Violation(TABLE_FAMILIES[f], tuple(p[:n]), m, b, g)
-        for f, p, n, m, b, g in zip(t.family[bad].tolist(), t.parts[bad].tolist(),
-                                    t.n_parts[bad].tolist(), measured[bad].tolist(),
-                                    t.bound[bad].tolist(), margin[bad].tolist())
+        for f, p, n, m, b, g in zip(family[bad].tolist(), parts[bad].tolist(),
+                                    n_parts[bad].tolist(), measured[bad].tolist(),
+                                    bound[bad].tolist(), margin[bad].tolist())
     ]
-    min_margin = float(margin[margin.argmin()]) if len(margin) else float("inf")
-    return ViolationReport(n_instances=len(margin), violations=violations, min_margin=min_margin)
+    margins = [margin]
+    if len(t.diff):
+        ends = np.array(t.edges, dtype=np.intp)
+        gap = np.abs(x[ends[:, 0]] - x[ends[:, 1]])
+        measured = np.abs(gap[t.diff[:, 0]] - gap[t.diff[:, 1]])
+        bound = params.tightened_bound("DIFF") if tightened else params.base_bound("DIFF")
+        margin = measured - bound if params.diff_separation else bound - measured
+        bad = np.flatnonzero(margin < -tol)
+        violations += [
+            Violation("DIFF", tuple(p), m, bound, g)
+            for p, m, g in zip(ends[t.diff[bad]].reshape(-1, 4).tolist(),
+                               measured[bad].tolist(), margin[bad].tolist())
+        ]
+        margins.append(margin)
+    min_margin = min((float(m[m.argmin()]) for m in margins if len(m)), default=float("inf"))
+    return ViolationReport(sum(map(len, margins)), violations, min_margin)
+
+
+def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> ViolationReport:
+    """Physical collision check: every instance but DIFF at base bounds, violated iff margin < 0.
+
+    Orientations come from the assignment, falling back to the topology.
+    """
+    t, x = realized_table(topo, assignment, params)
+    return price(t, x, slice(None), params, tightened=False)

@@ -3,8 +3,8 @@
 Two ways to obtain a Solution: hand the exported LP file to an external
 MILP solver through a subprocess wrapper, or run the built-in simulated
 annealing fallback for desk-scale instances.  Either way, verify() is the
-single source of truth for feasibility: it re-evaluates every constraint
-record literally, with exact absolute values and no big-M encoding.
+single source of truth for feasibility: it prices every instance the
+solution activates, with exact absolute values and no big-M encoding.
 """
 from __future__ import annotations
 
@@ -18,15 +18,15 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .constraints import (
     BOUNDED_FAMILIES,
     ConstraintParams,
-    ConstraintRecord,
-    Violation,
+    InstanceTable,
     ViolationReport,
     linear_form,
-    measured_value,
-    record_margin,
+    price,
 )
 from .model import ModelIR, Solution, export_lp, import_solution
 from .topology import Edge
@@ -69,10 +69,12 @@ class SolverConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if not self.time_budget > 0:
             raise ValueError("time_budget must be > 0")
+        if not isinstance(self.anneal, dict):
+            raise ValueError("anneal settings must be an object")
         merged = dict(DEFAULT_ANNEAL)
         for key, val in self.anneal.items():
-            if key not in DEFAULT_ANNEAL:
-                raise ValueError(f"unknown anneal setting {key!r}")
+            if key not in DEFAULT_ANNEAL or type(val) not in (int, float):
+                raise ValueError(f"anneal setting {key!r} is unknown or not a number")
             merged[key] = val
         self.anneal = merged
         if not 0.0 < self.anneal["cooling_rate"] < 1.0:
@@ -104,7 +106,7 @@ class SolverConfig:
             command_template=d.get("command_template", ""),
             time_budget=float(d.get("time_budget_s", 60.0)),
             seed=int(d.get("seed", 0)),
-            anneal=dict(d.get("anneal", {})),
+            anneal=d.get("anneal", {}),
         )
 
 
@@ -164,52 +166,41 @@ def solve_external(model: ModelIR, cfg: SolverConfig) -> Solution:
 # -- independent verification ---------------------------------------------------
 
 
-def _active_records(
-    records: list[ConstraintRecord], orientations: dict[Edge, int]
-) -> list[ConstraintRecord]:
-    active = []
-    for rec in records:
-        if rec.orientation_case is None:
-            active.append(rec)
-            continue
-        if rec.gate_pair not in orientations:
-            raise ValueError(f"solution lacks an orientation for coupler {rec.gate_pair}")
-        if orientations[rec.gate_pair] == rec.orientation_case:
-            active.append(rec)
-    return active
+def verify(solution: Solution, table: InstanceTable, params: ConstraintParams, tightened: bool,
+           tol: float = 1e-6) -> ViolationReport:
+    """Price every instance of the table that the solution activates.
 
-
-def verify(
-    solution: Solution,
-    records: list[ConstraintRecord],
-    params: ConstraintParams,
-    tightened: bool,
-    tol: float = 1e-6,
-) -> ViolationReport:
-    """Evaluate every active record literally against the solution.
-
-    Directed records count only when the solution's orientation selects
-    them.  tightened=True checks the optimization-time bounds (base + eps,
+    Directed rows count only when the solution's orientation selects their
+    case.  tightened=True checks the optimization-time bounds (base + eps,
     C1 window shrunk, DIFF at delta_diff); False checks the physical base
     bounds.  MILP solvers satisfy constraints only to their feasibility
     tolerance, so an instance counts as violated when its margin drops
-    below -tol; pass tol=0 for the strict reading.
-
-    Raises:
-        ValueError: a participant frequency or coupler orientation missing.
+    below -tol; pass tol=0 for the strict reading.  Raises ValueError for the
+    first directed row's coupler without an orientation, then for the first
+    active participant without a frequency.
     """
+    bits = [solution.orientations.get(pair) for pair in table.edges]
+    directed = table.case >= 0
+    unset = directed & np.array([b is None for b in bits], dtype=bool)[table.edge]
+    if unset.any():
+        pair = table.edges[table.edge[unset.argmax()]]
+        raise ValueError(f"solution lacks an orientation for coupler {pair}")
+    # a bit other than 0 and 1 selects neither case
+    rows = ~directed | (np.array([b if b in (0, 1) else 2 for b in bits])[table.edge] == table.case)
+
     freqs = solution.frequencies
-    active = _active_records(records, solution.orientations)
-    violations, min_margin = [], float("inf")
-    for rec in active:
-        for q in rec.participants:
-            if q not in freqs:
-                raise ValueError(f"solution lacks a frequency for qubit {q}")
-        measured, bound, margin = record_margin(rec, freqs, params, tightened)
-        min_margin = min(min_margin, margin)
-        if margin < -tol:
-            violations.append(Violation(rec.family, rec.participants, measured, bound, margin))
-    return ViolationReport(n_instances=len(active), violations=violations, min_margin=min_margin)
+    lacking = np.array([q not in freqs for q in range(table.n_qubits)], dtype=bool)
+    if lacking.any():
+        parts = table.parts[rows]
+        hit = lacking[parts] & (np.arange(3) < table.n_parts[rows][:, None])
+        if not hit.any():
+            parts = np.array(table.edges, dtype=np.intp).reshape(-1, 2)[table.diff].reshape(-1, 4)
+            hit = lacking[parts]
+        if hit.any():
+            q = parts.flat[hit.argmax()]  # row-major: the first instance, then its first role
+            raise ValueError(f"solution lacks a frequency for qubit {q}")
+    x = np.array([freqs.get(q, 0.0) for q in range(table.n_qubits)], dtype=float)
+    return price(table, x, rows, params, tightened, tol)
 
 
 # -- simulated annealing fallback ------------------------------------------------
@@ -230,12 +221,12 @@ class _AnnealState:
 
     def __init__(
         self,
-        records: list[ConstraintRecord],
+        records: InstanceTable,
         params: ConstraintParams,
         rng: random.Random,
         step: float,
     ):
-        self.records = records
+        self.records = records = list(records)
         self.params = params
         self.qubits = sorted({q for rec in records for q in rec.participants})
         lo, hi = params.f_window
@@ -260,11 +251,10 @@ class _AnnealState:
             else:
                 self.orient[pair] = next(iter(options))
 
-
-        # bounded records resolved once: (qubit terms, constant, tightened bound)
+        # records resolved once: (qubit terms, constant, tightened bound); C1 and DIFF have no terms
         self.forms = [
             (*linear_form(rec, params.alpha), params.tightened_bound(rec.family))
-            if rec.family in BOUNDED_FAMILIES else None
+            if rec.family in BOUNDED_FAMILIES else (None, 0.0, params.tightened_bound(rec.family))
             for rec in records
         ]
         self.margins = [0.0] * len(records)
@@ -278,12 +268,18 @@ class _AnnealState:
         rec = self.records[i]
         if rec.orientation_case is not None and self.orient[rec.gate_pair] != rec.orientation_case:
             return float("inf")  # inactive records never contribute
-        if self.forms[i] is None:
-            return record_margin(rec, self.freqs, self.params, tightened=True)[2]
         terms, const, bound = self.forms[i]
+        f = self.freqs
+        if terms is None:
+            p = rec.participants
+            if rec.family == "C1":
+                fc, ft = f[p[0]], f[p[1]]
+                return min(fc - ft, ft - fc - self.params.alpha) - bound
+            gap = abs(abs(f[p[0]] - f[p[1]]) - abs(f[p[2]] - f[p[3]]))  # DIFF
+            return gap - bound if self.params.diff_separation else bound - gap
         value = 0.0
         for q, c in terms:
-            value += c * self.freqs[q]
+            value += c * f[q]
         return abs(value + const) - bound
 
     def energy(self) -> float:
@@ -321,7 +317,7 @@ class _AnnealState:
 
 
 def solve_anneal(
-    records: list[ConstraintRecord],
+    records: InstanceTable,
     params: ConstraintParams,
     cfg: SolverConfig,
 ) -> Solution:
@@ -394,11 +390,15 @@ def solve_anneal(
 
     best = Solution(status="feasible", frequencies=best_freqs, orientations=best_orient)
     feasible = verify(best, records, params, tightened=True, tol=0.0).ok
+    # each bounded family's smallest active measured value, in _margin's float order
     fam_min: dict[str, float] = {}
-    for rec in _active_records(records, best_orient):
-        if rec.family in BOUNDED_FAMILIES:
-            measured = measured_value(rec, best_freqs, params)
-            fam_min[rec.family] = min(fam_min.get(rec.family, float("inf")), measured)
+    for rec, (terms, const, _) in zip(state.records, state.forms):
+        if terms is None or rec.orientation_case not in (None, best_orient.get(rec.gate_pair)):
+            continue
+        value = 0.0
+        for q, c in terms:
+            value += c * best_freqs[q]
+        fam_min[rec.family] = min(fam_min.get(rec.family, float("inf")), abs(value + const))
     slacks = dict(sorted(fam_min.items()))
     objective = sum(v - params.base_bound(f) for f, v in slacks.items()) if feasible else None
     return replace(best, status="feasible" if feasible else "timeout", slacks=slacks,

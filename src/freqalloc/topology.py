@@ -128,16 +128,6 @@ class Topology:
 
     # -- queries ---------------------------------------------------------
 
-    def neighbors(self, q: int) -> list[int]:
-        """Distinct neighbors of q, ascending (parallel edges deduped)."""
-        out = set()
-        for a, b in self.edges:
-            if a == q:
-                out.add(b)
-            elif b == q:
-                out.add(a)
-        return sorted(out)
-
     def degree(self, q: int) -> int:
         """Coupler count at q; parallel edges each contribute."""
         return sum(1 for a, b in self.edges if q in (a, b))
@@ -164,10 +154,13 @@ class Topology:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Topology":
+        if not isinstance(d, dict) or not all(isinstance(d.get(key), (dict, type(None)))
+                                              for key in ("orientation", "wrap_tags")):
+            raise ValueError("a topology, its orientation and its wrap_tags must be objects")
         orientation = None
         if "orientation" in d and d["orientation"] is not None:
             orientation = {parse_edge_key(k): int(v) for k, v in d["orientation"].items()}
-        wrap_tags = {int(k): v for k, v in d.get("wrap_tags", {}).items()}
+        wrap_tags = {int(k): v for k, v in (d.get("wrap_tags") or {}).items()}
         return Topology(
             n_qubits=int(d["n_qubits"]),
             edges=[(int(a), int(b)) for a, b in d["edges"]],
@@ -277,21 +270,7 @@ def hex_rings(rings: int) -> Topology:
     return _hex_from_cells(anchors, {"kind": "hex_rings", "rings": rings})
 
 
-# -- spectators and boundary wraps ------------------------------------------
-
-
-def spectator_triples(topo: Topology, control: int, target: int) -> list[tuple[int, int, int]]:
-    """Spectator triples (control, target, k) for a directed coupler.
-
-    Spectators are the distinct neighbors of the target other than the
-    control itself.
-
-    Raises:
-        ValueError: if (control, target) is not an edge of topo.
-    """
-    if _canon(control, target) not in topo.edge_pairs():
-        raise ValueError(f"({control},{target}) is not an edge")
-    return [(control, target, k) for k in topo.neighbors(target) if k != control]
+# -- boundary wraps --------------------------------------------------------
 
 
 def wrap(topo: Topology, bc: BoundaryCondition) -> Topology:

@@ -207,6 +207,8 @@ def _run_trials(
     """
     if count < 1:
         raise ValueError("trials must be >= 1")
+    if n_jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {n_jobs}")
     n_jobs = min(n_jobs, count, os.cpu_count() or 1)
     if n_jobs > 1:
         ends = [start + count * i // n_jobs for i in range(n_jobs + 1)]

@@ -8,11 +8,12 @@ Every command runs in process through freqalloc.cli.main inside OUTDIR.
 The artifacts are LP files (among them the four models the benchmark
 solves), anneal solutions (including windows, alpha, gap separations and
 grid steps that are not exact in binary), verify reports at base and
-tightened bounds, yield and threshold CSVs (some sharded with --jobs 2,
-one threshold escalating to its trial cap), the chip, report and yield
-files of three tilings, and the chip and report of a fourth whose seams
-collide.  The .meta.json sidecars, which hold wall-clock data, are
-deleted; transcript.txt keeps each command's exit code, stdout and stderr.
+tightened bounds (one of them with DIFF on a 256-qubit chip), yield and
+threshold CSVs (some sharded with --jobs 2, one threshold escalating to its
+trial cap), the chip, report and yield files of three tilings, and the chip
+and report of a fourth whose seams collide.  The .meta.json sidecars, which
+hold wall-clock data, are deleted; transcript.txt keeps each command's exit
+code, stdout and stderr.
 Outputs from two trees then compare with
 
     diff -r OLD_OUTDIR NEW_OUTDIR
@@ -29,8 +30,10 @@ import os
 import pathlib
 import sys
 
-from freqalloc.assembly import preset_bc
+from freqalloc.assembly import preset_bc, tile
 from freqalloc.cli import main
+from freqalloc.constraints import default_params
+from freqalloc.model import Solution
 from freqalloc.topology import square_grid, uniform_orientation, wrap
 
 UNIT_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "units"
@@ -68,6 +71,12 @@ def write_inputs() -> None:
     unit = wrap(square_grid(3, 3), preset_bc("PBC1")).to_json_dict()
     unit["orientation"] = json.loads((UNIT_DIR / "pbc1_3x3.json").read_text())["solution"]["orientations"]
     pathlib.Path("w3x3_pbc1_unit.json").write_text(json.dumps(unit, indent=1) + "\n")
+    # the 4x4 tiling of the PBC1 unit (256 qubits) as plain topology and solution files
+    chip = tile(square_grid(4, 4), Solution.from_json_dict(files["pbc1_4x4.sol.json"]),
+                preset_bc("PBC1"), 4, 4, default_params())
+    pathlib.Path("chip4x4_topo.json").write_text(chip.chip_topology.to_json())
+    sol = Solution("feasible", chip.chip_assignment.frequencies, chip.chip_assignment.orientations)
+    pathlib.Path("chip4x4.sol.json").write_text(json.dumps(sol.to_json_dict(), indent=1) + "\n")
 
 
 # (solution name, topology, seed, parameter flags, solver flags)
@@ -127,6 +136,10 @@ def commands() -> list[list[str]]:
         for bounds in ("tightened", "base"):
             cmds.append(["verify", "--topology", f"{topo}.json", "--solution", f"{name}.sol.json",
                          *pflags, "--bounds", bounds, "--out", f"{name}.verify_{bounds}.json"])
+    # DIFF at chip size: 120,548 instances at tightened bounds, some of them violated
+    cmds.append(["verify", "--topology", "chip4x4_topo.json", "--solution", "chip4x4.sol.json",
+                 "--diff", "2", "--eps-tol", "5", "--bounds", "tightened",
+                 "--out", "chip4x4_diff.verify.json"])
 
     unit = ["--topology", "g4x4_pbc1.json", "--solution", "pbc1_4x4.sol.json"]
     cmds += [

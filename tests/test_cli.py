@@ -408,6 +408,68 @@ def test_null_frequencies_exit_2(tmp_path, grid22):
     assert main(["verify", "--topology", str(grid22), "--solution", str(sol)]) == 2
 
 
+# (topology file, --params file, --config file, extra flags); None keeps the valid default
+MALFORMED_INPUTS = {
+    "topology_root_list": ([], None, None, []),
+    "topology_wrap_tags_list":
+        ({"n_qubits": 2, "edges": [[0, 1]], "wrap_tags": []}, None, None, []),
+    "params_root_list": (None, [], None, []),
+    "config_params_list": (None, None, {"params": []}, ["--eps-tol", "5"]),
+    "params_base_bounds_list": (None, {"base_bounds": [1, 2]}, None, []),
+    "params_eps_tol_number": (None, {"eps_tol": 5}, None, []),
+    "params_f_window_number": (None, {"f_window": 5}, None, []),
+    "config_solver_list": (None, None, {"solver": []}, []),
+    "config_anneal_string": (None, None, {"solver": {"anneal": {"cooling_rate": "x"}}}, []),
+    "jobs_zero": (None, None, None, ["--jobs", "0"]),
+    "jobs_negative": (None, None, None, ["--jobs", "-3"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    topo_doc, params_doc, config_doc, flags = MALFORMED_INPUTS[case]
+    topo = tmp_path / "t.json"
+    topo.write_text(json.dumps(topo_doc if topo_doc is not None
+                               else {"n_qubits": 2, "edges": [[0, 1]]}))
+    sol = tmp_path / "s.json"
+    sol.write_text(json.dumps({"status": "feasible", "frequencies_mhz": {"0": 5000.0, "1": 5100.0},
+                               "orientations": {"0-1": 0}}))
+    argv = ["yield", "--topology", str(topo), "--solution", str(sol), "--sigma", "1",
+            "--trials", "10", *flags]
+    for flag, doc in (("--params", params_doc), ("--config", config_doc)):
+        if doc is not None:
+            (tmp_path / "in.json").write_text(json.dumps(doc))
+            argv += [flag, str(tmp_path / "in.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_solve_reverifies_an_imported_solution(tmp_path, capsys):
+    # a wrapper that reports both qubits of a coupler at 5000 MHz as optimal
+    topo = tmp_path / "p2.json"
+    assert main(["topo", "--rows", "1", "--cols", "2", "--out", str(topo)]) == 0
+    wrapper = tmp_path / "liar_wrapper.py"
+    wrapper.write_text(
+        "import json, sys\n"
+        "from freqalloc.milp_adapter import main\n"
+        "main(sys.argv[1:3])\n"
+        "with open(sys.argv[2]) as fh:\n"
+        "    doc = json.load(fh)\n"
+        "doc['status'] = 'optimal'\n"
+        "doc['values'].update(f_0=5000.0, f_1=5000.0)\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    json.dump(doc, fh)\n"
+    )
+    out = tmp_path / "s.json"
+    capsys.readouterr()
+    assert main(["solve", "--topology", str(topo), "--cmd", f"python3 {wrapper} {{lp}} {{out}}",
+                 "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["frequencies_mhz"] == {"0": 5000.0, "1": 5000.0}
+    assert re.search(r"^FAIL: \d+ of \d+ instances violated at tightened bounds",
+                     capsys.readouterr().out, re.M)
+
+
 # -- assemble ----------------------------------------------------------------------
 
 

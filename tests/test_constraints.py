@@ -1,6 +1,7 @@
 """Constraint enumeration and the physical collision check."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,10 +13,10 @@ from freqalloc.constraints import (
     default_params,
     edge_difference_pairs,
     enumerate_records,
-    measured_value,
-    record_margin,
     uniform_tightening,
 )
+from freqalloc.model import Solution
+from freqalloc.solve import verify
 from freqalloc.topology import Topology, square_grid, uniform_orientation, wrap, BoundaryCondition
 from freqalloc.yield_mc import estimate_yield
 
@@ -236,15 +237,16 @@ def test_diff_records_emitted_only_when_enabled() -> None:
 
 
 def test_diff_margin_both_comparators() -> None:
-    rec_params = ConstraintParams(delta_diff=2.0)
-    recs = [r for r in enumerate_records(path(4), "free", rec_params) if r.family == "DIFF"]
-    freqs = {0: 5000.0, 1: 5040.0, 2: 5300.0, 3: 5339.0}  # gaps 40 and 39
-    measured, bound, margin = record_margin(recs[0], freqs, rec_params, tightened=True)
-    assert measured == pytest.approx(1.0)
-    assert margin == pytest.approx(-1.0)  # separation mode wants >= 2
-    prox = ConstraintParams(delta_diff=2.0, diff_separation=False)
-    _, _, margin2 = record_margin(recs[0], freqs, prox, tightened=True)
-    assert margin2 == pytest.approx(1.0)  # proximity mode wants <= 2
+    # the DIFF pair is the only instance, so the report's margins are its own
+    rec_params = ConstraintParams(base_bounds={}, c1_enabled=False, delta_diff=2.0)
+    sol = Solution("feasible", {0: 5000.0, 1: 5040.0, 2: 5300.0, 3: 5339.0})  # gaps 40 and 39
+    rep = verify(sol, enumerate_records(path(4), "free", rec_params), rec_params, tightened=True)
+    assert rep.n_instances == 1 and rep.violations[0].participants == (0, 1, 2, 3)
+    assert rep.violations[0].measured == pytest.approx(1.0)
+    assert rep.min_margin == pytest.approx(-1.0)  # separation mode wants >= 2
+    prox = dataclasses.replace(rec_params, diff_separation=False)
+    rep = verify(sol, enumerate_records(path(4), "free", prox), prox, tightened=True)
+    assert rep.ok and rep.min_margin == pytest.approx(1.0)  # proximity mode wants <= 2
 
 
 def test_check_never_includes_diff() -> None:
@@ -296,12 +298,14 @@ def test_params_json_roundtrip_and_unknown_keys() -> None:
 
 
 def test_measured_value_t1_uses_control_twice() -> None:
-    p = default_params()
+    # T1 alone, bounded far above its value: the one active instance is reported
+    p = ConstraintParams(base_bounds={"T1": 1000.0}, c1_enabled=False)
     recs = enumerate_records(path(3), "free", p)
-    t1 = [r for r in recs if r.family == "T1" and r.orientation_case == 0][0]
-    # (control, target, spectator) = (0, 1, 2)
-    freqs = {0: 5100.0, 1: 5000.0, 2: 4950.0}
-    assert measured_value(t1, freqs, p) == pytest.approx(abs(5000 + 4950 - 2 * 5100 + 350))
+    # (control, target, spectator) = (0, 1, 2); the (1, 2) coupler drives 2, which has no spectator
+    sol = Solution("feasible", {0: 5100.0, 1: 5000.0, 2: 4950.0}, {(0, 1): 0, (1, 2): 0})
+    rep = verify(sol, recs, p, tightened=False)
+    assert rep.n_instances == 1 and rep.violations[0].participants == (0, 1, 2)
+    assert rep.violations[0].measured == pytest.approx(abs(5000 + 4950 - 2 * 5100 + 350))
 
 
 @pytest.mark.parametrize("window, alpha", [((5000.0, 5500.0), -350.0), ((4800.0, 5650.0), -217.0)])

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from freqalloc import yield_mc
 from freqalloc.assembly import PRESET_TABLE, preset_bc, tile
 from freqalloc.constraints import (
+    LINEAR_FORMS,
     ConstraintParams,
     FrequencyAssignment,
     check,
@@ -20,9 +22,10 @@ from freqalloc.constraints import (
     enumerate_records,
     linear_form,
     realized_orientation,
-    record_margin,
+    uniform_tightening,
 )
 from freqalloc.model import Solution
+from freqalloc.solve import verify
 from freqalloc.topology import Topology, hex_rings, square_grid, wrap
 
 from .oracles import naive_margins, naive_violations
@@ -72,21 +75,34 @@ def perturbed_cases():
 CASES = perturbed_cases()
 
 
-def reference_report(topo: Topology, asg: FrequencyAssignment, params: ConstraintParams) -> dict:
-    """check()'s report, rebuilt one record at a time with record_margin; the
-    instance list and its order are first matched against the naive oracle."""
-    orient = realized_orientation(topo, asg)
-    freqs = asg.frequencies
-    records = enumerate_records(dataclasses.replace(topo, orientation=orient), "fixed", params)
-    naive = naive_margins(topo.edges, orient, freqs, params.alpha, params.base_bounds,
-                          params.c1_enabled)
-    assert [(r.family, r.participants) for r in records] == [(f, p) for f, p, _ in naive]
-    margins = [record_margin(r, freqs, params, tightened=False) for r in records]
-    assert [g for _, _, g in margins] == pytest.approx([m for _, _, m in naive], abs=1e-9)
+def scalar_margin(rec, freqs: dict, params: ConstraintParams, tightened: bool):
+    """(measured, bound, margin) of one record, one float operation at a time."""
+    p, fam = rec.participants, rec.family
+    if fam == "C1":
+        fc, ft = freqs[p[0]], freqs[p[1]]
+        measured = min(fc - ft, ft - fc - params.alpha)
+    elif fam == "DIFF":
+        measured = abs(abs(freqs[p[0]] - freqs[p[1]]) - abs(freqs[p[2]] - freqs[p[3]]))
+    else:
+        terms, k = LINEAR_FORMS[fam]
+        value = 0.0
+        for role, c in terms:
+            value += c * freqs[p[role]]
+        measured = abs(value + k * params.alpha)
+    bound = params.tightened_bound(fam) if tightened else params.base_bound(fam)
+    if fam == "DIFF" and not params.diff_separation:
+        return measured, bound, bound - measured
+    return measured, bound, measured - bound
+
+
+def scalar_report(records, freqs: dict, params: ConstraintParams, tightened: bool,
+                  tol: float = 0.0) -> dict:
+    """The report of the records' margins, violated below -tol, as JSON."""
+    margins = [scalar_margin(r, freqs, params, tightened) for r in records]
     violations = [
         {"family": r.family, "participants": list(r.participants),
          "measured_mhz": m, "bound_mhz": b, "margin_mhz": g}
-        for r, (m, b, g) in zip(records, margins) if g < 0
+        for r, (m, b, g) in zip(records, margins) if g < -tol
     ]
     counts: dict[str, int] = {}
     for v in violations:
@@ -101,6 +117,22 @@ def reference_report(topo: Topology, asg: FrequencyAssignment, params: Constrain
     }
 
 
+def reference_report(topo: Topology, asg: FrequencyAssignment, params: ConstraintParams) -> dict:
+    """check()'s report, rebuilt one record at a time; the instance list and its
+    order are first matched against the naive oracle."""
+    orient = realized_orientation(topo, asg)
+    freqs = asg.frequencies
+    fixed = dataclasses.replace(topo, orientation=orient)
+    records = list(enumerate_records(fixed, "fixed", params))
+    naive = naive_margins(topo.edges, orient, freqs, params.alpha, params.base_bounds,
+                          params.c1_enabled)
+    assert [(r.family, r.participants) for r in records] == [(f, p) for f, p, _ in naive]
+    report = scalar_report(records, freqs, params, tightened=False)
+    margins = [scalar_margin(r, freqs, params, False)[2] for r in records]
+    assert margins == pytest.approx([m for _, _, m in naive], abs=1e-9)
+    return report
+
+
 @pytest.mark.parametrize("params", [default_params(), OFF_GRID], ids=["default", "offgrid"])
 @pytest.mark.parametrize("label,topo,asg", CASES, ids=[c[0] for c in CASES])
 def test_check_matches_the_scalar_reference(label, topo, asg, params):
@@ -112,6 +144,94 @@ def test_check_matches_the_scalar_reference(label, topo, asg, params):
     assert sorted((v.family, v.participants, round(v.margin, 9)) for v in report.violations) == \
         naive_violations(topo.edges, orient, asg.frequencies, params.alpha, params.base_bounds,
                          params.c1_enabled)
+
+
+# (bounds, DIFF) settings verify is priced under: base bounds, tightened bounds,
+# and delta_diff 2 in separation (tightened) and proximity (base) mode
+EPS_5_C1_3 = {**uniform_tightening(5.0), "C1": 3.0}
+VERIFY_SETTINGS = {
+    "base": (False, {}),
+    "tightened": (True, {"eps_tol": EPS_5_C1_3}),
+    "diff_separation": (True, {"delta_diff": 2.0, "eps_tol": EPS_5_C1_3}),
+    "diff_proximity": (False, {"delta_diff": 2.0, "diff_separation": False}),
+}
+
+
+def naive_diff_pairs(topo: Topology) -> list[tuple[int, ...]]:
+    edges = topo.edges
+    return [edges[i] + edges[j] for i in range(len(edges)) for j in range(i + 1, len(edges))
+            if not set(edges[i]) & set(edges[j])]
+
+
+# The 8x8 chip's 1,990,592 DIFF pairs, one record each, outgrow the scalar
+# reference's memory; test_solve bounds verify's own memory on them.
+VERIFY_CASES = [(*case, setting) for case in CASES for setting in VERIFY_SETTINGS
+                if not (case[0] == "chip8x8" and setting.startswith("diff"))]
+
+
+@pytest.mark.parametrize("base_params", [default_params(), OFF_GRID], ids=["default", "offgrid"])
+@pytest.mark.parametrize("label,topo,asg,setting", VERIFY_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in VERIFY_CASES])
+def test_verify_matches_the_scalar_reference(label, topo, asg, setting, base_params):
+    tightened, changes = VERIFY_SETTINGS[setting]
+    params = dataclasses.replace(base_params, **changes)
+    orient = realized_orientation(topo, asg)
+    sol = Solution("feasible", asg.frequencies, orient)
+    table = enumerate_records(topo, "free", params)
+    report = verify(sol, table, params, tightened)
+    # the reference prices the active records: the realized orientation's instances
+    # (matched against the naive oracle by reference_report), then every DIFF pair
+    active = [r for r in table if r.orientation_case in (None, orient.get(r.gate_pair))]
+    fixed = list(enumerate_records(dataclasses.replace(topo, orientation=orient), "fixed",
+                                   params))
+    assert [(r.family, r.participants) for r in active] == \
+        [(r.family, r.participants) for r in fixed if r.family != "DIFF"] + \
+        [("DIFF", p) for p in (naive_diff_pairs(topo) if params.delta_diff else [])]
+    reference = scalar_report(active, asg.frequencies, params, tightened, tol=1e-6)
+    lines = [json.dumps(doc, indent=1).splitlines()
+             for doc in (report.to_json_dict(), reference)]
+    assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("label,topo,asg", CASES[::4], ids=[c[0] for c in CASES[::4]])
+def test_verify_names_the_one_missing_input(label, topo, asg):
+    params = dataclasses.replace(default_params(), delta_diff=2.0)
+    table = enumerate_records(topo, "free", params)
+    orient = realized_orientation(topo, asg)
+    rng = random.Random(label)
+    for pair in rng.sample(sorted(orient), 3):
+        sol = Solution("feasible", asg.frequencies, {k: b for k, b in orient.items() if k != pair})
+        with pytest.raises(ValueError, match=re.escape(f"orientation for coupler {pair}") + "$"):
+            verify(sol, table, params, tightened=True)
+    for q in rng.sample(range(topo.n_qubits), 3):
+        freqs = {k: f for k, f in asg.frequencies.items() if k != q}
+        with pytest.raises(ValueError, match=f"frequency for qubit {q}$"):
+            verify(Solution("feasible", freqs, orient), table, params, tightened=True)
+
+
+def test_verify_lacking_inputs_of_inactive_instances():
+    # qubit 3 has no coupler, and the drive window is the only directed family:
+    # neither its frequency nor, without C1, any orientation is needed
+    params = ConstraintParams(c1_enabled=False, base_bounds={"A1": 17.0}, delta_diff=2.0)
+    topo = Topology(4, [(0, 1), (1, 2)])
+    report = verify(Solution("feasible", {0: 5000.0, 1: 5020.0, 2: 5050.0}),
+                    enumerate_records(topo, "free", params), params, tightened=True)
+    assert report.ok and report.n_instances == 2 and report.min_margin == 3.0
+    # the first DIFF participant in instance order lacks its frequency
+    topo = Topology(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="frequency for qubit 2$"):
+        verify(Solution("feasible", {0: 5000.0, 1: 5020.0}),
+               enumerate_records(topo, "free", params), params, tightened=True)
+
+
+def test_table_iterates_records_in_order():
+    topo = wrap(square_grid(3, 3), preset_bc("PBC1"))
+    params = dataclasses.replace(default_params(), delta_diff=2.0)
+    table = enumerate_records(topo, "free", params)
+    records = list(table)
+    assert len(records) == len(table) == len(table.family) + len(table.diff)
+    assert list(table) == records and records[-1].family == "DIFF"
+    assert [r.participants for r in records if r.family == "DIFF"] == naive_diff_pairs(topo)
 
 
 def test_reference_cases_hold_violations():

@@ -12,7 +12,6 @@ from freqalloc.constraints import (
     default_params,
     enumerate_records,
     linear_form,
-    measured_value,
     uniform_tightening,
 )
 from freqalloc.milp_adapter import solve_lp
@@ -46,7 +45,8 @@ def c1_draws(topo: Topology, eps_c1: float, seed: int, want: int):
             orientation[(a, b)] = tie if freqs[a] == freqs[b] else int(freqs[b] > freqs[a])
         fixed = dataclasses.replace(topo, orientation=orientation)
         c1 = [r for r in enumerate_records(fixed, "fixed", params) if r.family == "C1"]
-        if all(measured_value(r, freqs, params) >= eps_c1 for r in c1):
+        if all(min(freqs[c] - freqs[t], freqs[t] - freqs[c] - params.alpha) >= eps_c1
+               for c, t in (r.participants for r in c1)):
             kept.append((freqs, orientation))
     return kept
 

@@ -6,9 +6,11 @@ import os
 import pathlib
 import signal
 import time
+import tracemalloc
 
 import pytest
 
+from freqalloc.assembly import preset_bc, tile
 from freqalloc.constraints import check, default_params, enumerate_records, uniform_tightening
 from freqalloc.model import Solution, SolutionParseError, build
 from freqalloc import solve as solve_module
@@ -256,6 +258,24 @@ def test_verify_missing_inputs_rejected():
     with pytest.raises(ValueError):
         verify(Solution(status="feasible", frequencies={0: 5000.0},
                         orientations={(0, 1): 0}), recs, p, tightened=False)
+
+
+def test_chip_diff_verify_memory_is_bounded():
+    # the 8x8 tiling of the 4x4 PBC1 unit: 29,220 active rows and 1,961,372 DIFF pairs
+    doc = json.loads((pathlib.Path(__file__).parent / "fixtures" / "units" / "pbc1_4x4.json")
+                     .read_text())
+    chip = tile(square_grid(4, 4), Solution.from_json_dict(doc["solution"]), preset_bc("PBC1"),
+                8, 8, default_params())
+    sol = Solution("feasible", chip.chip_assignment.frequencies, chip.chip_assignment.orientations)
+    p = dataclasses.replace(default_params(), delta_diff=1000.0, diff_separation=False)
+    tracemalloc.start()
+    try:
+        report = verify(sol, enumerate_records(chip.chip_topology, "free", p), p, tightened=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.n_instances == 1_990_592
+    assert peak <= 128 * 2**20  # 74 MB measured
 
 
 # -- anneal ---------------------------------------------------------------------

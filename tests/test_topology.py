@@ -11,7 +11,6 @@ from freqalloc.topology import (
     Topology,
     hex_grid,
     hex_rings,
-    spectator_triples,
     square_grid,
     uniform_orientation,
     wrap,
@@ -41,8 +40,8 @@ def test_square_grid_edge_formula_sweep() -> None:
 
 def test_square_grid_row_major_ids() -> None:
     t = square_grid(2, 3)
-    # qubit(r, c) = r*cols + c; neighbors of the middle of row 0
-    assert t.neighbors(1) == [0, 2, 4]
+    # qubit(r, c) = r*cols + c; the coupled neighbors of the middle of row 0
+    assert sorted(b if a == 1 else a for a, b in t.edges if 1 in (a, b)) == [0, 2, 4]
 
 
 def test_square_grid_rejects_bad_extent() -> None:
@@ -88,21 +87,6 @@ def test_hex_rings_euler_sweep() -> None:
         cells = 1 + 3 * rings * (rings - 1)
         assert len(t.geometry["cell_anchors"]) == cells
         assert len(t.edges) - t.n_qubits + 2 == cells + 1
-
-
-def test_spectator_triples_square_interior() -> None:
-    t = square_grid(3, 3)
-    assert spectator_triples(t, 1, 4) == [(1, 4, 3), (1, 4, 5), (1, 4, 7)]
-    # count is deg(target) - 1 for every directed edge
-    for a, b in t.edges:
-        for ctrl, tgt in ((a, b), (b, a)):
-            assert len(spectator_triples(t, ctrl, tgt)) == t.degree(tgt) - 1
-
-
-def test_spectator_triples_rejects_non_edge() -> None:
-    t = square_grid(2, 2)
-    with pytest.raises(ValueError):
-        spectator_triples(t, 0, 3)
 
 
 def test_wrap_pbc1_2x2_counts() -> None:
