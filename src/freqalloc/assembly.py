@@ -165,9 +165,9 @@ def tile(
     if missing_p:
         raise ValueError(f"unit solution lacks orientations for couplers {missing_p[:5]}")
     if require_feasible:
-        records = enumerate_records(wrapped, "free", params)
+        table = enumerate_records(wrapped, "free", params)
         oriented = replace(unit_solution, orientations=dict(orient))
-        report = verify(oriented, records, params, tightened=True)
+        report = verify(oriented, table, params, tightened=True)
         if not report.ok:
             raise PreconditionError(
                 f"unit solution violates {len(report.violations)} wrapped-unit "

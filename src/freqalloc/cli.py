@@ -246,7 +246,7 @@ def _assignment_for(topo: Topology, sol: Solution, params: ConstraintParams):
 
 
 def _model_inputs(topo: Topology, params: ConstraintParams, args, cfg: RunConfig):
-    """Model mode and its records; enumerate_records rejects a bad mode."""
+    """Model mode and its instance table; enumerate_records rejects a bad mode."""
     mode = cfg.model.get("mode", args.mode)
     return mode, enumerate_records(topo, mode, params)
 
@@ -284,8 +284,8 @@ def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
 def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, records = _model_inputs(topo, params, args, cfg)
-    model = build(topo, records, params, mode)
+    mode, table = _model_inputs(topo, params, args, cfg)
+    model = build(topo, table, params, mode)
     out = _out_path(args, cfg)
     _write_text(out, export_lp(model), argv)
     print(f"wrote {out}: {len(model.variables)} variables, {len(model.rows)} rows, "
@@ -314,24 +314,24 @@ def _solver_config(args, cfg: RunConfig) -> SolverConfig:
 def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, records = _model_inputs(topo, params, args, cfg)
+    mode, table = _model_inputs(topo, params, args, cfg)
     scfg = _solver_config(args, cfg)
     extra = {}
     if scfg.backend == "external":
-        model = build(topo, records, params, mode)
+        model = build(topo, table, params, mode)
         sol = solve_external(model, scfg)
         extra = {"model": {"variables": len(model.variables), "rows": len(model.rows),
                            "binaries": len(model.binaries())},
                  "solver": sol.solver_stats}
     else:
-        sol = solve_anneal(records, params, scfg)
+        sol = solve_anneal(table, params, scfg)
     sol = _fill_isolated(topo, sol, params)
     out = _out_path(args, cfg)
     _write_json(out, sol.to_json_dict(), argv, extra)
     obj = "none" if sol.objective_value is None else f"{sol.objective_value:.6g}"
     print(f"wrote {out}: status {sol.status}, objective {obj}")
     if scfg.backend == "external" and sol.status in ("optimal", "feasible"):
-        report = verify(sol, records, params, tightened=True)
+        report = verify(sol, table, params, tightened=True)
         if not report.ok:
             return _verdict(report, "tightened")
     return EXIT_OK

@@ -28,14 +28,15 @@ summation order of the yield sums, so reordering terms changes artifacts.
 
 instance_table lays out every instance except DIFF as array columns in one
 pass, and enumerate_records adds the DIFF pairs as an edge-index column.
-price prices a table for check and solve.verify; the yield sampler reads its
-columns, and the model builder and the annealer iterate its records.
+The table is the one form of a constraint instance: price prices it for
+check and solve.verify, and the yield sampler, the model builder and the
+annealer read its columns.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,15 @@ LINEAR_FORMS: dict[str, tuple[tuple[tuple[int, float], ...], float]] = {
     "S2": (((1, 1.0), (2, -1.0)), -1.0),
     "T1": (((1, 1.0), (2, 1.0), (0, -2.0)), -1.0),
 }
+
+
+def json_number(value, what: str) -> float:
+    """A finite JSON number (not a bool) as a float; anything else is a ValueError naming what."""
+    # the comparison is exact for integers, so one beyond the float range fails it too
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -172,22 +182,18 @@ class ConstraintParams:
         if not (all(isinstance(d.get(key, {}), dict) for key in ("base_bounds", "eps_tol"))
                 and isinstance(window, list) and len(window) == 2):
             raise ValueError("base_bounds and eps_tol must be objects, f_window a [lo, hi] list")
-        kwargs: dict = {}
-        if "base_bounds" in d:
-            kwargs["base_bounds"] = {str(k): float(v) for k, v in d["base_bounds"].items()}
-        if "alpha" in d:
-            kwargs["alpha"] = float(d["alpha"])
-        if "eps_tol" in d:
-            kwargs["eps_tol"] = {str(k): float(v) for k, v in d["eps_tol"].items()}
-        if "delta_diff" in d:
-            kwargs["delta_diff"] = float(d["delta_diff"])
+        for key in ("c1_enabled", "diff_separation"):
+            if key in d and not isinstance(d[key], bool):
+                raise ValueError(f"{key} must be true or false, got {d[key]!r}")
+        kwargs: dict = {key: d[key] for key in ("c1_enabled", "diff_separation") if key in d}
+        for key in ("base_bounds", "eps_tol"):
+            if key in d:
+                kwargs[key] = {str(k): json_number(v, f"{key}[{k!r}]") for k, v in d[key].items()}
+        for key in ("alpha", "delta_diff"):
+            if key in d:
+                kwargs[key] = json_number(d[key], key)
         if "f_window" in d:
-            lo, hi = d["f_window"]
-            kwargs["f_window"] = (float(lo), float(hi))
-        if "c1_enabled" in d:
-            kwargs["c1_enabled"] = bool(d["c1_enabled"])
-        if "diff_separation" in d:
-            kwargs["diff_separation"] = bool(d["diff_separation"])
+            kwargs["f_window"] = tuple(json_number(v, "f_window") for v in window)
         return ConstraintParams(**kwargs)
 
 
@@ -227,31 +233,6 @@ class FrequencyAssignment:
         )
 
 
-@dataclass(frozen=True)
-class ConstraintRecord:
-    """One constraint instance.
-
-    participants: role order per family docline above; (a, b) canonical for
-    A1/A2, (control, target) for directed families, (control, target,
-    spectator) for S/T, and (p, q, u, v) for the two couplers of a DIFF pair.
-    orientation_case is the orientation bit under which a directed instance
-    is active (None for undirected and DIFF records); gate_pair is the
-    canonical coupler whose bit gates it.
-    """
-
-    family: str
-    participants: tuple[int, ...]
-    edge_indexes: tuple[int, ...]
-    orientation_case: int | None = None
-    gate_pair: Edge | None = None
-
-
-def linear_form(record: ConstraintRecord, alpha: float) -> tuple[list[tuple[int, float]], float]:
-    """The (qubit, coefficient) terms and constant whose absolute value the record bounds."""
-    terms, k = LINEAR_FORMS[record.family]
-    return [(record.participants[role], c) for role, c in terms], k * alpha
-
-
 # -- enumeration -------------------------------------------------------------
 
 # Family codes of the instance table: its family column indexes this tuple.
@@ -273,9 +254,11 @@ class InstanceTable:
     (the first n_parts are real, the rest 0); case is the orientation case,
     -1 for undirected rows.  Each row's expression is sum(coef * f[idx]) +
     const, the LINEAR_FORMS entry with padding qubit 0 and coefficient 0 (all
-    zero for C1), and bound is the family's base bound (0 for C1).  diff rows
-    are the edge indexes (i, j) of two vertex-disjoint couplers.  Iterating
-    yields the equivalent ConstraintRecords in order, built on first use.
+    zero for C1), and bound is the family's base bound (0 for C1).  edge is
+    the index into edges of the row's coupler; a directed row is active when
+    that coupler's orientation bit equals its case.  diff rows are the edge
+    indexes (i, j) of two vertex-disjoint couplers, whose DIFF participants
+    are edges[i] + edges[j].
     """
 
     family: np.ndarray   # (n,)
@@ -297,24 +280,6 @@ class InstanceTable:
 
     def __len__(self) -> int:
         return len(self.family) + len(self.diff)
-
-    def __iter__(self):
-        return iter(self._records)
-
-    @cached_property
-    def _records(self) -> list[ConstraintRecord]:
-        edges, cases = self.edge.tolist(), self.case.tolist()
-        records = list(map(
-            ConstraintRecord,
-            np.array(TABLE_FAMILIES, dtype=object)[self.family].tolist(),
-            [(a, b, k) if n == 3 else (a, b)
-             for a, b, k, n in zip(*self.parts.T.tolist(), self.n_parts.tolist())],
-            [(e,) for e in edges],
-            [c if c >= 0 else None for c in cases],
-            [self.edges[e] if c >= 0 else None for e, c in zip(edges, cases)],
-        ))
-        return records + [ConstraintRecord("DIFF", self.edges[i] + self.edges[j], (i, j))
-                          for i, j in self.diff.tolist()]
 
 
 def instance_table(

@@ -1,10 +1,11 @@
 """MILP construction for collision-free frequency assignment.
 
 The model maximizes the sum of per-family slack variables.  Every bounded
-family F present in the records gets one slack sF, lower-bounded by its
-tightened bound and upper-bounded by the largest value its expression can
-take inside the frequency window.  Each absolute-value instance |expr| >= sF,
-with expr the record's LINEAR_FORMS entry, turns into the disjunction
+family F present in the instance table gets one slack sF, lower-bounded by
+its tightened bound and upper-bounded by the largest value its expression
+can take inside the frequency window.  Each absolute-value instance
+|expr| >= sF, with expr its row's idx/coef/const columns (the family's
+LINEAR_FORMS entry), turns into the disjunction
 
     expr + M*b >= sF        and        -expr + M*(1-b) >= sF
 
@@ -32,12 +33,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constraints import (
     BOUNDED_FAMILIES,
+    TABLE_FAMILIES,
     ConstraintParams,
-    ConstraintRecord,
     FrequencyAssignment,
-    linear_form,
+    InstanceTable,
 )
 from .topology import Edge, Topology
 
@@ -163,7 +166,7 @@ def linearize_abs_geq(
     branch = 0 or 1 keeps only the _p or only the _n row, for an expression
     of known sign.  gate = (orientation var, case): case 0 relaxes the rows
     by M*o, case 1 by M*(1-o), so they only bind when the coupler points the
-    record's way.
+    instance's way.
     """
     if isinstance(branch, str):
         branch = (branch, 0)
@@ -182,63 +185,69 @@ def linearize_abs_geq(
     return rows
 
 
-def sign_branch(rec: ConstraintRecord, bits: dict[Edge, int] | dict[Edge, str]):
-    """The linearize_abs_geq branch of a record whose sign C1 fixes (alpha < 0), else None.
+# Family -> the branch C1 fixes (alpha < 0), or the roles (p, q) of a pair
+# whose orientation fixes it; D1 and T1 take either sign.
+_SIGN_RULES = {"A2": 0, "E2": 0, "S2": 0, "E1": 1, "A1": (0, 1), "S1": (1, 2)}
 
-    On a realized coupler |f_p - f_q| <= |alpha|, so A2, E2 and S2 are >= 0,
-    E1 is <= 0, and A1 = f_a - f_b and S1 = f_t - f_k are >= 0 exactly when
-    their first qubit drives the coupler.  bits maps each coupler pair to its
+
+def sign_branch(family: str, parts, bits: dict[Edge, int] | dict[Edge, str]):
+    """The linearize_abs_geq branch of an instance whose sign C1 fixes (alpha < 0), else None.
+
+    parts are the instance's participants in role order.  On a realized
+    coupler |f_p - f_q| <= |alpha|, so A2, E2 and S2 are >= 0, E1 is <= 0,
+    and A1 = f_a - f_b and S1 = f_t - f_k are >= 0 exactly when their first
+    qubit drives the coupler.  bits maps each coupler pair to its
     orientation: 0/1 (fixed mode) or its o_* variable (free mode).
     """
-    fam, p = rec.family, rec.participants
-    if fam in ("A2", "E2", "S2", "E1"):
-        return int(fam == "E1")
-    if fam not in ("A1", "S1"):
-        return None  # D1 and T1 take either sign
-    a, b = p if fam == "A1" else p[1:]
+    rule = _SIGN_RULES.get(family)
+    if not isinstance(rule, tuple):
+        return rule
+    a, b = parts[rule[0]], parts[rule[1]]
     bit, case = bits[(min(a, b), max(a, b))], int(a > b)
     return (bit, case) if isinstance(bit, str) else int(bit != case)
 
 
 def build(
     topo: Topology,
-    records: list[ConstraintRecord],
+    table: InstanceTable,
     params: ConstraintParams,
     mode: str,
 ) -> ModelIR:
-    """Assemble the MILP for the given record list.
+    """Assemble the MILP for the given instance table.
 
     Args:
         topo: coupler graph (provides the qubit count and, in fixed mode,
             the orientation used to reconstruct solutions).
-        records: output of enumerate_records(topo, mode, params).
+        table: output of enumerate_records(topo, mode, params).
         params: bounds, tightenings, window, and DIFF settings.
-        mode: "fixed" or "free"; must match how records were enumerated.
+        mode: "fixed" or "free"; must match how the table was enumerated.
 
+    Rows follow the table: each row's expression is its idx/coef/const
+    columns (padding terms skipped), a directed row in free mode is gated on
+    the o_* bit of its edge in its case, and the DIFF pairs come last.
     Every disjunction uses M = default_big_m(params).
 
     Raises:
-        ValueError: empty records for a coupled topology, or a mode
-            mismatch with the records.
+        ValueError: an empty table for a coupled topology, or a mode
+            mismatch with the table.
     """
     if mode not in ("fixed", "free"):
         raise ValueError(f"mode must be 'fixed' or 'free', got {mode!r}")
-    if not records and topo.edges:
-        raise ValueError("empty record list for a topology with couplers")
+    if not len(table) and topo.edges:
+        raise ValueError("empty instance table for a topology with couplers")
     if mode == "fixed" and topo.edges and topo.orientation is None:
         raise ValueError("fixed mode requires topo.orientation")
-    if mode == "fixed" and any(r.family != "DIFF" and r.orientation_case is not None
-                               and topo.orientation.get(r.gate_pair) != r.orientation_case
-                               for r in records):
-        raise ValueError("records carry orientation cases not matching the fixed orientation")
+    directed = table.case >= 0
+    if mode == "fixed" and directed.any():
+        bit = np.array([(topo.orientation or {}).get(pair, -1) for pair in table.edges])
+        if (bit[table.edge[directed]] != table.case[directed]).any():
+            raise ValueError("table carries orientation cases not matching the fixed orientation")
 
     lo, hi = params.f_window
     M = default_big_m(params)
 
-    fams_present = sorted(
-        {r.family for r in records if r.family in BOUNDED_FAMILIES},
-        key=BOUNDED_FAMILIES.index,
-    )
+    present = {TABLE_FAMILIES[c] for c in np.unique(table.family).tolist()}
+    fams_present = [fam for fam in BOUNDED_FAMILIES if fam in present]
     slack_vars = {fam: f"s{fam}" for fam in fams_present}
     slack_base = {fam: params.base_bound(fam) for fam in fams_present}
 
@@ -262,11 +271,6 @@ def build(
         fam_counter[fam] = fam_counter.get(fam, 0) + 1
         return fam_counter[fam] - 1
 
-    def gate_for(rec: ConstraintRecord) -> tuple[str, int] | None:
-        if mode != "free" or rec.orientation_case is None:
-            return None
-        return (orientation_vars[rec.gate_pair], rec.orientation_case)
-
     def ensure_gap_var(pair: Edge) -> str:
         if pair in d_vars:
             return d_vars[pair]
@@ -284,34 +288,22 @@ def build(
         ])
         return name
 
-    for rec in records:
-        fam = rec.family
+    for fam, parts, edge, case, idx, coef, const in zip(
+            np.array(TABLE_FAMILIES, dtype=object)[table.family].tolist(), table.parts.tolist(),
+            table.edge.tolist(), table.case.tolist(), table.idx.tolist(), table.coef.tolist(),
+            table.const.tolist()):
+        gate = (orientation_vars[table.edges[edge]], case) if mode == "free" and case >= 0 else None
         if fam == "C1":
-            ctrl, tgt = rec.participants
+            ctrl, tgt = parts[:2]
             eps = params.tightening("C1")
             i = row_index("C1")
             drive = {f"f_{tgt}": 1.0, f"f_{ctrl}": -1.0}
-            gate = gate_for(rec)
             rows.append(_gated(RowDef(f"C1_{i}_hi", dict(drive), "<=", -eps), gate, M))
             rows.append(_gated(RowDef(f"C1_{i}_lo", drive, ">=", params.alpha + eps), gate, M))
-        elif fam == "DIFF":
-            e_k = topo.edges[rec.edge_indexes[0]]
-            e_l = topo.edges[rec.edge_indexes[1]]
-            dk = ensure_gap_var(e_k)
-            dl = ensure_gap_var(e_l)
-            i = row_index("DIFF")
-            delta = params.delta_diff
-            if params.diff_separation:
-                b = next_binary()
-                rows.append(RowDef(f"DIFF_{i}_p", {dk: 1.0, dl: -1.0, b: M}, ">=", delta))
-                rows.append(RowDef(f"DIFF_{i}_n", {dl: 1.0, dk: -1.0, b: -M}, ">=", delta - M))
-            else:
-                rows.append(RowDef(f"DIFF_{i}_hi", {dk: 1.0, dl: -1.0}, "<=", delta))
-                rows.append(RowDef(f"DIFF_{i}_lo", {dl: 1.0, dk: -1.0}, "<=", delta))
         else:
-            terms, const = linear_form(rec, params.alpha)
-            expr = {f"f_{q}": c for q, c in terms}
-            branch = sign_branch(rec, bits) if presolve else None
+            # padding terms (qubit 0, coefficient 0) would overwrite a real f_0 entry
+            expr = {f"f_{q}": c for q, c in zip(idx, coef) if c}
+            branch = sign_branch(fam, parts, bits) if presolve else None
             rows.extend(
                 linearize_abs_geq(
                     f"{fam}_{row_index(fam)}",
@@ -321,9 +313,21 @@ def build(
                     0.0,
                     M,
                     next_binary() if branch is None else branch,
-                    gate_for(rec),
+                    gate,
                 )
             )
+    for e_k, e_l in table.diff.tolist():
+        dk = ensure_gap_var(table.edges[e_k])
+        dl = ensure_gap_var(table.edges[e_l])
+        i = row_index("DIFF")
+        delta = params.delta_diff
+        if params.diff_separation:
+            b = next_binary()
+            rows.append(RowDef(f"DIFF_{i}_p", {dk: 1.0, dl: -1.0, b: M}, ">=", delta))
+            rows.append(RowDef(f"DIFF_{i}_n", {dl: 1.0, dk: -1.0, b: -M}, ">=", delta - M))
+        else:
+            rows.append(RowDef(f"DIFF_{i}_hi", {dk: 1.0, dl: -1.0}, "<=", delta))
+            rows.append(RowDef(f"DIFF_{i}_lo", {dl: 1.0, dk: -1.0}, "<=", delta))
 
     variables: list[VarDef] = [VarDef(f"f_{q}", lo, hi, "C") for q in range(topo.n_qubits)]
     for fam in fams_present:

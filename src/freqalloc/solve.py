@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import (
-    BOUNDED_FAMILIES,
     ConstraintParams,
     InstanceTable,
+    TABLE_FAMILIES,
     ViolationReport,
-    linear_form,
+    json_number,
     price,
 )
 from .model import ModelIR, Solution, export_lp, import_solution
@@ -101,11 +101,16 @@ class SolverConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown solver config keys {sorted(unknown)}")
+        seed, template = d.get("seed", 0), d.get("command_template", "")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if not isinstance(template, str):
+            raise ValueError(f"command_template must be a string, got {template!r}")
         return SolverConfig(
             backend=d.get("backend", "external"),
-            command_template=d.get("command_template", ""),
-            time_budget=float(d.get("time_budget_s", 60.0)),
-            seed=int(d.get("seed", 0)),
+            command_template=template,
+            time_budget=json_number(d.get("time_budget_s", 60.0), "time_budget_s"),
+            seed=seed,
             anneal=d.get("anneal", {}),
         )
 
@@ -212,33 +217,42 @@ def _snap(value: float, lo: float, hi: float, step: float) -> float:
 
 
 class _AnnealState:
-    """Current assignment plus per-record margins, updated incrementally.
+    """Current assignment plus per-instance margins, updated incrementally.
 
+    Instance i is row i of the table, then DIFF pair i - (number of rows).
     A move is a list of (container, key, new value) edits of freqs (keyed by
     qubit) or orient (keyed by coupler pair); touches maps each such key to
-    the records whose margin the edit can change.
+    the instances whose margin the edit can change.  The per-instance data
+    are plain Python lists, so a move prices its instances without NumPy
+    scalars.
     """
 
     def __init__(
         self,
-        records: InstanceTable,
+        table: InstanceTable,
         params: ConstraintParams,
         rng: random.Random,
         step: float,
     ):
-        self.records = records = list(records)
         self.params = params
-        self.qubits = sorted({q for rec in records for q in rec.participants})
+        edges = table.edges
+        self.parts = [tuple(p[:n]) for p, n in zip(table.parts.tolist(), table.n_parts.tolist())]
+        self.parts += [edges[e_k] + edges[e_l] for e_k, e_l in table.diff.tolist()]
+        self.qubits = sorted({q for p in self.parts for q in p})
         lo, hi = params.f_window
         self.freqs = {q: _snap(rng.uniform(lo, hi), lo, hi, step) for q in self.qubits}
 
+        # the coupler pair and case that gate each directed instance, None otherwise
+        self.gates = [(edges[e], c) if c >= 0 else None
+                      for e, c in zip(table.edge.tolist(), table.case.tolist())]
+        self.gates += [None] * len(table.diff)
         cases: dict[Edge, set[int]] = {}
         self.touches: dict[int | Edge, list[int]] = {}
-        for i, rec in enumerate(records):
-            keys = set(rec.participants)
-            if rec.orientation_case is not None:
-                cases.setdefault(rec.gate_pair, set()).add(rec.orientation_case)
-                keys.add(rec.gate_pair)
+        for i, (parts, gate) in enumerate(zip(self.parts, self.gates)):
+            keys = list(parts)
+            if gate is not None:
+                cases.setdefault(gate[0], set()).add(gate[1])
+                keys.append(gate[0])
             for key in keys:
                 self.touches.setdefault(key, []).append(i)
         self.orient: dict[Edge, int] = {}
@@ -251,28 +265,31 @@ class _AnnealState:
             else:
                 self.orient[pair] = next(iter(options))
 
-        # records resolved once: (qubit terms, constant, tightened bound); C1 and DIFF have no terms
+        # (qubit terms, constant, tightened bound); C1 and DIFF have no terms
+        tightening = np.array([params.tightening(f) for f in TABLE_FAMILIES])
         self.forms = [
-            (*linear_form(rec, params.alpha), params.tightened_bound(rec.family))
-            if rec.family in BOUNDED_FAMILIES else (None, 0.0, params.tightened_bound(rec.family))
-            for rec in records
+            (None if c1 else [(q, c) for q, c in zip(idx, coef) if c], const, bound)
+            for c1, idx, coef, const, bound in zip(
+                table.c1.tolist(), table.idx.tolist(), table.coef.tolist(), table.const.tolist(),
+                (table.bound + tightening[table.family]).tolist())
         ]
-        self.margins = [0.0] * len(records)
+        self.forms += [(None, 0.0, params.tightened_bound("DIFF"))] * len(table.diff)
+        self.margins = [0.0] * len(self.parts)
         self.viol_sum = 0.0
-        for i in range(len(records)):
+        for i in range(len(self.parts)):
             self.margins[i] = self._margin(i)
             if self.margins[i] < 0:
                 self.viol_sum += -self.margins[i]
 
     def _margin(self, i: int) -> float:
-        rec = self.records[i]
-        if rec.orientation_case is not None and self.orient[rec.gate_pair] != rec.orientation_case:
-            return float("inf")  # inactive records never contribute
+        gate = self.gates[i]
+        if gate is not None and self.orient[gate[0]] != gate[1]:
+            return float("inf")  # inactive instances never contribute
         terms, const, bound = self.forms[i]
         f = self.freqs
         if terms is None:
-            p = rec.participants
-            if rec.family == "C1":
+            p = self.parts[i]
+            if len(p) == 2:  # C1
                 fc, ft = f[p[0]], f[p[1]]
                 return min(fc - ft, ft - fc - self.params.alpha) - bound
             gap = abs(abs(f[p[0]] - f[p[1]]) - abs(f[p[2]] - f[p[3]]))  # DIFF
@@ -288,7 +305,7 @@ class _AnnealState:
         return -1e-3 * min(self.margins)
 
     def apply(self, edits: list[tuple]) -> tuple[list[tuple], float]:
-        """Make the edits, re-evaluate the records they touch, and return the undo."""
+        """Make the edits, re-evaluate the instances they touch, and return the undo."""
         touched: set[int] = set()
         for _, key, _ in edits:
             touched.update(self.touches[key])
@@ -317,7 +334,7 @@ class _AnnealState:
 
 
 def solve_anneal(
-    records: InstanceTable,
+    table: InstanceTable,
     params: ConstraintParams,
     cfg: SolverConfig,
 ) -> Solution:
@@ -327,7 +344,7 @@ def solve_anneal(
     reaches zero a small reward proportional to the minimum margin keeps
     pushing instances apart.  Moves are single-qubit Gaussian frequency
     jumps (snapped to the freq_step grid), orientation flips for couplers
-    whose records carry both cases, and frequency swaps between two qubits,
+    whose instances carry both cases, and frequency swaps between two qubits,
     accepted by the Metropolis rule under a geometric temperature schedule.
     The schedule is fixed by the config, so the result is a deterministic
     function of the seed; status is "feasible" only when the best state has
@@ -340,7 +357,7 @@ def solve_anneal(
     step = float(cfg.anneal["freq_step_mhz"])
     lo, hi = params.f_window
 
-    state = _AnnealState(records, params, rng, step)
+    state = _AnnealState(table, params, rng, step)
     if not state.qubits:
         return Solution(status="feasible", frequencies={}, orientations={}, slacks={},
                         objective_value=0.0)
@@ -389,17 +406,16 @@ def solve_anneal(
         temp *= cooling
 
     best = Solution(status="feasible", frequencies=best_freqs, orientations=best_orient)
-    feasible = verify(best, records, params, tightened=True, tol=0.0).ok
-    # each bounded family's smallest active measured value, in _margin's float order
-    fam_min: dict[str, float] = {}
-    for rec, (terms, const, _) in zip(state.records, state.forms):
-        if terms is None or rec.orientation_case not in (None, best_orient.get(rec.gate_pair)):
-            continue
-        value = 0.0
-        for q, c in terms:
-            value += c * best_freqs[q]
-        fam_min[rec.family] = min(fam_min.get(rec.family, float("inf")), abs(value + const))
-    slacks = dict(sorted(fam_min.items()))
+    feasible = verify(best, table, params, tightened=True, tol=0.0).ok
+    # each bounded family's smallest active measured value; the padding term adds
+    # only a zero, so the sums equal _margin's bit for bit
+    x = np.array([best_freqs.get(q, 0.0) for q in range(table.n_qubits)])
+    bits = np.array([best_orient.get(pair, -1) for pair in table.edges], dtype=np.intp)
+    active = ~table.c1 & ((table.case < 0) | (bits[table.edge] == table.case))
+    terms = x[table.idx] * table.coef
+    measured = np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + table.const)
+    slacks = {fam: float(measured[on].min()) for fam in sorted(TABLE_FAMILIES)
+              if (on := active & (table.family == TABLE_FAMILIES.index(fam))).any()}
     objective = sum(v - params.base_bound(f) for f, v in slacks.items()) if feasible else None
     return replace(best, status="feasible" if feasible else "timeout", slacks=slacks,
                    objective_value=objective)

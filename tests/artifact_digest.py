@@ -123,6 +123,7 @@ def commands() -> list[list[str]]:
         ("unit_g2x3_eps10", "g2x3", ["--eps-tol", "10"]),
         ("unit_w3x3_pbc1_fixed_eps10", "w3x3_pbc1_unit", ["--mode", "fixed", "--eps-tol", "10"]),
         ("unit_g3x3_eps10", "g3x3", ["--eps-tol", "10"]),
+        ("pbc1_4x4_free_diff2", "g4x4_pbc1", ["--diff", "2"]),
     ]:
         cmds.append(["build", "--topology", f"{topo}.json", *flags, "--out", f"{name}.lp"])
 

@@ -24,6 +24,7 @@ import pytest
 
 from freqalloc.assembly import PRESET_TABLE, preset_bc, tile, chip_check
 from freqalloc.constraints import (
+    TABLE_FAMILIES,
     ConstraintParams,
     FrequencyAssignment,
     check,
@@ -206,7 +207,7 @@ def test_c04_free_orientation_dominates_fixed() -> None:
                 infeasible += 1
                 continue
             assert sol.status in ("optimal", "feasible"), sol.status
-            absent = set(slack_headroom) - {r.family for r in recs}
+            absent = set(slack_headroom) - {TABLE_FAMILIES[f] for f in recs.family.tolist()}
             lifted = sol.objective_value + sum(slack_headroom[f] for f in absent)
             best_fixed = max(best_fixed, lifted)
         assert best_fixed > -float("inf"), f"{name}: every fixed orientation infeasible"

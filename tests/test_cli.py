@@ -420,6 +420,18 @@ MALFORMED_INPUTS = {
     "params_f_window_number": (None, {"f_window": 5}, None, []),
     "config_solver_list": (None, None, {"solver": []}, []),
     "config_anneal_string": (None, None, {"solver": {"anneal": {"cooling_rate": "x"}}}, []),
+    "params_alpha_list": (None, {"alpha": [1]}, None, []),
+    "params_bound_string": (None, {"base_bounds": {"A1": "17"}}, None, []),
+    "params_eps_tol_bool": (None, {"eps_tol": {"A1": True}}, None, []),
+    "params_f_window_strings": (None, {"f_window": ["5000", "5500"]}, None, []),
+    "params_c1_enabled_string": (None, {"c1_enabled": "false"}, None, []),
+    "params_diff_separation_number": (None, {"diff_separation": 0}, None, []),
+    "config_params_delta_diff_null": (None, None, {"params": {"delta_diff": None}}, []),
+    "config_seed_list": (None, None, {"solver": {"seed": []}}, []),
+    "config_seed_fraction": (None, None, {"solver": {"seed": 1.5}}, []),
+    "config_time_budget_string": (None, None, {"solver": {"time_budget_s": "60"}}, []),
+    "config_time_budget_infinite": (None, None, {"solver": {"time_budget_s": float("inf")}}, []),
+    "config_command_template_number": (None, None, {"solver": {"command_template": 5}}, []),
     "jobs_zero": (None, None, None, ["--jobs", "0"]),
     "jobs_negative": (None, None, None, ["--jobs", "-3"]),
 }

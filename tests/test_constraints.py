@@ -21,6 +21,7 @@ from freqalloc.topology import Topology, square_grid, uniform_orientation, wrap,
 from freqalloc.yield_mc import estimate_yield
 
 from .oracles import naive_violations
+from .table_rows import table_rows
 
 
 def path(n: int) -> Topology:
@@ -128,49 +129,50 @@ def test_check_and_yield_reject_an_unpriced_qubit_alike() -> None:
 def test_single_edge_fixed_records() -> None:
     topo = path(2)
     topo.orientation = {(0, 1): 0}
-    recs = enumerate_records(topo, "fixed", default_params())
-    assert [r.family for r in recs] == ["A1", "A2", "C1", "E1", "E2", "D1"]
-    directed = [r for r in recs if r.family in ("C1", "E1", "E2", "D1")]
-    assert all(r.participants == (0, 1) for r in directed)
-    assert all(r.orientation_case == 0 for r in directed)
+    recs = table_rows(enumerate_records(topo, "fixed", default_params()))
+    assert [fam for fam, *_ in recs] == ["A1", "A2", "C1", "E1", "E2", "D1"]
+    directed = [r for r in recs if r[0] in ("C1", "E1", "E2", "D1")]
+    assert all(p == (0, 1) for _, p, _, _ in directed)
+    assert all(case == 0 for _, _, case, _ in directed)
 
 
 def test_single_edge_free_records() -> None:
-    recs = enumerate_records(path(2), "free", default_params())
-    assert len(recs) == 10
-    c1 = [r for r in recs if r.family == "C1"]
-    assert [(r.participants, r.orientation_case) for r in c1] == [((0, 1), 0), ((1, 0), 1)]
+    table = enumerate_records(path(2), "free", default_params())
+    assert len(table) == 10
+    c1 = [(p, case) for fam, p, case, _ in table_rows(table) if fam == "C1"]
+    assert c1 == [((0, 1), 0), ((1, 0), 1)]
 
 
 def test_path3_free_record_census() -> None:
-    recs = enumerate_records(path(3), "free", default_params())
+    table = enumerate_records(path(3), "free", default_params())
+    recs = table_rows(table)
     fams = {}
-    for r in recs:
-        fams[r.family] = fams.get(r.family, 0) + 1
+    for fam, *_ in recs:
+        fams[fam] = fams.get(fam, 0) + 1
     assert fams == {
         "A1": 2, "A2": 2,
         "C1": 4, "E1": 4, "E2": 4, "D1": 4,
         "S1": 2, "S2": 2, "T1": 2,
     }
-    assert len(recs) == 26
-    triples = sorted((r.participants, r.orientation_case) for r in recs if r.family == "S1")
+    assert len(table) == 26
+    triples = sorted((p, case) for fam, p, case, _ in recs if fam == "S1")
     assert triples == [((0, 1, 2), 0), ((2, 1, 0), 1)]
 
 
 def test_free_mode_c1_count_is_two_per_edge() -> None:
     params = default_params()
     for topo in (path(4), square_grid(2, 3), square_grid(3, 3)):
-        recs = enumerate_records(topo, "free", params)
-        assert sum(1 for r in recs if r.family == "C1") == 2 * len(topo.edges)
+        recs = table_rows(enumerate_records(topo, "free", params))
+        assert sum(1 for r in recs if r[0] == "C1") == 2 * len(topo.edges)
 
 
 def test_fixed_mode_spectator_counts() -> None:
     topo = square_grid(3, 3)
     topo.orientation = uniform_orientation(topo)
-    recs = enumerate_records(topo, "fixed", default_params())
+    recs = table_rows(enumerate_records(topo, "fixed", default_params()))
     for pair in topo.edge_pairs():
         ctrl, tgt = pair  # bit 0: low id controls
-        n_s1 = sum(1 for r in recs if r.family == "S1" and r.participants[:2] == (ctrl, tgt))
+        n_s1 = sum(1 for fam, p, _, _ in recs if fam == "S1" and p[:2] == (ctrl, tgt))
         assert n_s1 == topo.degree(tgt) - 1
 
 
@@ -183,15 +185,15 @@ def test_mirror_symmetry_fixed_vs_free() -> None:
     """
     params = default_params()
     for topo in (path(3), square_grid(2, 2), square_grid(2, 3)):
-        free = {(r.family, r.participants, r.orientation_case)
-                for r in enumerate_records(topo, "free", params)
-                if r.orientation_case is not None}
+        free = {(fam, p, case)
+                for fam, p, case, _ in table_rows(enumerate_records(topo, "free", params))
+                if case is not None}
         halves = []
         for bit in (0, 1):
             topo.orientation = uniform_orientation(topo, bit)
-            fixed = {(r.family, r.participants, r.orientation_case)
-                     for r in enumerate_records(topo, "fixed", params)
-                     if r.orientation_case is not None}
+            fixed = {(fam, p, case)
+                     for fam, p, case, _ in table_rows(enumerate_records(topo, "fixed", params))
+                     if case is not None}
             assert all(case == bit for (_, _, case) in fixed)
             assert fixed <= free
             halves.append(fixed)
@@ -213,8 +215,8 @@ def test_fixed_mode_requires_orientation() -> None:
 
 def test_family_scoping_respects_bounds_map() -> None:
     params = ConstraintParams(base_bounds={"A1": 17.0}, c1_enabled=False)
-    recs = enumerate_records(path(3), "free", params)
-    assert {r.family for r in recs} == {"A1"}
+    recs = table_rows(enumerate_records(path(3), "free", params))
+    assert {fam for fam, *_ in recs} == {"A1"}
 
 
 # -- DIFF family -------------------------------------------------------------
@@ -228,12 +230,13 @@ def test_edge_difference_pairs_path4() -> None:
 def test_diff_records_emitted_only_when_enabled() -> None:
     topo = path(4)
     none = enumerate_records(topo, "free", default_params())
-    assert all(r.family != "DIFF" for r in none)
+    assert all(fam != "DIFF" for fam, *_ in table_rows(none)) and len(none.diff) == 0
     params = ConstraintParams(delta_diff=2.0)
-    recs = [r for r in enumerate_records(topo, "free", params) if r.family == "DIFF"]
+    table = enumerate_records(topo, "free", params)
+    recs = [r for r in table_rows(table) if r[0] == "DIFF"]
     assert len(recs) == 1
-    assert recs[0].participants == (0, 1, 2, 3)
-    assert recs[0].edge_indexes == (0, 2)
+    assert recs[0][1] == (0, 1, 2, 3)
+    assert table.diff.tolist() == [[0, 2]]
 
 
 def test_diff_margin_both_comparators() -> None:

@@ -20,7 +20,6 @@ from freqalloc.constraints import (
     default_params,
     edge_difference_pairs,
     enumerate_records,
-    linear_form,
     realized_orientation,
     uniform_tightening,
 )
@@ -29,6 +28,7 @@ from freqalloc.solve import verify
 from freqalloc.topology import Topology, hex_rings, square_grid, wrap
 
 from .oracles import naive_margins, naive_violations
+from .table_rows import table_rows
 
 UNIT_DIR = pathlib.Path(__file__).parent / "fixtures" / "units"
 
@@ -76,8 +76,8 @@ CASES = perturbed_cases()
 
 
 def scalar_margin(rec, freqs: dict, params: ConstraintParams, tightened: bool):
-    """(measured, bound, margin) of one record, one float operation at a time."""
-    p, fam = rec.participants, rec.family
+    """(measured, bound, margin) of one table_rows instance, one float operation at a time."""
+    fam, p = rec[:2]
     if fam == "C1":
         fc, ft = freqs[p[0]], freqs[p[1]]
         measured = min(fc - ft, ft - fc - params.alpha)
@@ -95,21 +95,21 @@ def scalar_margin(rec, freqs: dict, params: ConstraintParams, tightened: bool):
     return measured, bound, measured - bound
 
 
-def scalar_report(records, freqs: dict, params: ConstraintParams, tightened: bool,
+def scalar_report(instances, freqs: dict, params: ConstraintParams, tightened: bool,
                   tol: float = 0.0) -> dict:
-    """The report of the records' margins, violated below -tol, as JSON."""
-    margins = [scalar_margin(r, freqs, params, tightened) for r in records]
+    """The report of the instances' margins, violated below -tol, as JSON."""
+    margins = [scalar_margin(r, freqs, params, tightened) for r in instances]
     violations = [
-        {"family": r.family, "participants": list(r.participants),
+        {"family": r[0], "participants": list(r[1]),
          "measured_mhz": m, "bound_mhz": b, "margin_mhz": g}
-        for r, (m, b, g) in zip(records, margins) if g < -tol
+        for r, (m, b, g) in zip(instances, margins) if g < -tol
     ]
     counts: dict[str, int] = {}
     for v in violations:
         counts[v["family"]] = counts.get(v["family"], 0) + 1
     return {
         "ok": not violations,
-        "n_instances": len(records),
+        "n_instances": len(instances),
         "n_violations": len(violations),
         "min_margin_mhz": min((g for _, _, g in margins), default=None),
         "family_counts": counts,
@@ -118,17 +118,17 @@ def scalar_report(records, freqs: dict, params: ConstraintParams, tightened: boo
 
 
 def reference_report(topo: Topology, asg: FrequencyAssignment, params: ConstraintParams) -> dict:
-    """check()'s report, rebuilt one record at a time; the instance list and its
+    """check()'s report, rebuilt one instance at a time; the instance list and its
     order are first matched against the naive oracle."""
     orient = realized_orientation(topo, asg)
     freqs = asg.frequencies
     fixed = dataclasses.replace(topo, orientation=orient)
-    records = list(enumerate_records(fixed, "fixed", params))
+    instances = table_rows(enumerate_records(fixed, "fixed", params))
     naive = naive_margins(topo.edges, orient, freqs, params.alpha, params.base_bounds,
                           params.c1_enabled)
-    assert [(r.family, r.participants) for r in records] == [(f, p) for f, p, _ in naive]
-    report = scalar_report(records, freqs, params, tightened=False)
-    margins = [scalar_margin(r, freqs, params, False)[2] for r in records]
+    assert [r[:2] for r in instances] == [(f, p) for f, p, _ in naive]
+    report = scalar_report(instances, freqs, params, tightened=False)
+    margins = [scalar_margin(r, freqs, params, False)[2] for r in instances]
     assert margins == pytest.approx([m for _, _, m in naive], abs=1e-9)
     return report
 
@@ -163,7 +163,7 @@ def naive_diff_pairs(topo: Topology) -> list[tuple[int, ...]]:
             if not set(edges[i]) & set(edges[j])]
 
 
-# The 8x8 chip's 1,990,592 DIFF pairs, one record each, outgrow the scalar
+# The 8x8 chip's 1,990,592 DIFF pairs, one tuple each, outgrow the scalar
 # reference's memory; test_solve bounds verify's own memory on them.
 VERIFY_CASES = [(*case, setting) for case in CASES for setting in VERIFY_SETTINGS
                 if not (case[0] == "chip8x8" and setting.startswith("diff"))]
@@ -179,13 +179,13 @@ def test_verify_matches_the_scalar_reference(label, topo, asg, setting, base_par
     sol = Solution("feasible", asg.frequencies, orient)
     table = enumerate_records(topo, "free", params)
     report = verify(sol, table, params, tightened)
-    # the reference prices the active records: the realized orientation's instances
+    # the reference prices the active instances: the realized orientation's instances
     # (matched against the naive oracle by reference_report), then every DIFF pair
-    active = [r for r in table if r.orientation_case in (None, orient.get(r.gate_pair))]
-    fixed = list(enumerate_records(dataclasses.replace(topo, orientation=orient), "fixed",
-                                   params))
-    assert [(r.family, r.participants) for r in active] == \
-        [(r.family, r.participants) for r in fixed if r.family != "DIFF"] + \
+    active = [r for r in table_rows(table) if r[2] in (None, orient.get(r[3]))]
+    fixed = table_rows(enumerate_records(dataclasses.replace(topo, orientation=orient), "fixed",
+                                         params))
+    assert [r[:2] for r in active] == \
+        [r[:2] for r in fixed if r[0] != "DIFF"] + \
         [("DIFF", p) for p in (naive_diff_pairs(topo) if params.delta_diff else [])]
     reference = scalar_report(active, asg.frequencies, params, tightened, tol=1e-6)
     lines = [json.dumps(doc, indent=1).splitlines()
@@ -224,14 +224,14 @@ def test_verify_lacking_inputs_of_inactive_instances():
                enumerate_records(topo, "free", params), params, tightened=True)
 
 
-def test_table_iterates_records_in_order():
+def test_table_length_and_diff_pairs_in_order():
     topo = wrap(square_grid(3, 3), preset_bc("PBC1"))
     params = dataclasses.replace(default_params(), delta_diff=2.0)
     table = enumerate_records(topo, "free", params)
-    records = list(table)
-    assert len(records) == len(table) == len(table.family) + len(table.diff)
-    assert list(table) == records and records[-1].family == "DIFF"
-    assert [r.participants for r in records if r.family == "DIFF"] == naive_diff_pairs(topo)
+    assert len(table_rows(table)) == len(table) == len(table.family) + len(table.diff)
+    assert len(table.diff) and table_rows(table)[-1][0] == "DIFF"
+    edges = table.edges
+    assert [edges[i] + edges[j] for i, j in table.diff.tolist()] == naive_diff_pairs(topo)
 
 
 def test_reference_cases_hold_violations():
@@ -247,17 +247,17 @@ def test_reference_cases_hold_violations():
 def test_compile_equals_a_per_record_rebuild(label, topo, asg, params):
     fixed = dataclasses.replace(topo, orientation=realized_orientation(topo, asg))
     idx, coef, const, bound, c1_ctrl, c1_tgt = [], [], [], [], [], []
-    for rec in enumerate_records(fixed, "fixed", params):
-        if rec.family == "C1":
-            c1_ctrl.append(rec.participants[0])
-            c1_tgt.append(rec.participants[1])
+    for fam, p, _, _ in table_rows(enumerate_records(fixed, "fixed", params)):
+        if fam == "C1":
+            c1_ctrl.append(p[0])
+            c1_tgt.append(p[1])
             continue
-        terms, constant = linear_form(rec, params.alpha)
-        terms += [(0, 0.0)] * (3 - len(terms))
+        roles, k = LINEAR_FORMS[fam]
+        terms = [(p[role], c) for role, c in roles] + [(0, 0.0)] * (3 - len(roles))
         idx.append([q for q, _ in terms])
         coef.append([c for _, c in terms])
-        const.append(constant)
-        bound.append(params.base_bound(rec.family))
+        const.append(k * params.alpha)
+        bound.append(params.base_bound(fam))
     comp = yield_mc._compile(topo, asg, params)
     expected = {
         "base": np.array([asg.frequencies[q] for q in range(topo.n_qubits)]),

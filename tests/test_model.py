@@ -1,5 +1,6 @@
 """Model construction, LP export, adapter solve, and solution import."""
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from freqalloc.constraints import (
     enumerate_records,
     uniform_tightening,
 )
+from freqalloc.assembly import preset_bc
 from freqalloc.milp_adapter import LPParseError, parse_lp, solve_lp
 from freqalloc.milp_adapter import main as adapter_main
 from freqalloc.model import (
@@ -25,11 +27,12 @@ from freqalloc.model import (
     import_solution,
     linearize_abs_geq,
 )
-from freqalloc.topology import Topology
+from freqalloc.topology import Topology, parse_edge_key, square_grid, wrap
 
 from .oracles import grid_search_optimum
 
 GOLDEN = Path(__file__).parent / "golden"
+UNIT_DIR = Path(__file__).parent / "fixtures" / "units"
 
 
 def single_edge(orientation=None):
@@ -91,7 +94,7 @@ def test_export_is_deterministic():
 
 def test_one_qubit_model_is_empty_but_exportable():
     topo = Topology(n_qubits=1, edges=[])
-    m = build(topo, [], default_params(), "free")
+    m = build_for(topo, default_params(), "free")  # the one-qubit table has no rows
     text = export_lp(m)
     assert text == (GOLDEN / "one_qubit.lp").read_text()
     parsed = parse_lp(text)
@@ -104,8 +107,11 @@ def test_one_qubit_model_is_empty_but_exportable():
 
 
 def test_empty_records_with_couplers_rejected():
+    no_families = ConstraintParams(base_bounds={}, c1_enabled=False)
+    empty = enumerate_records(single_edge(), "free", no_families)
+    assert len(empty) == 0
     with pytest.raises(ValueError):
-        build(single_edge(), [], default_params(), "free")
+        build(single_edge(), empty, default_params(), "free")
 
 
 def test_fixed_build_requires_orientation():
@@ -359,3 +365,57 @@ def test_solution_json_round_trip():
     assert again.frequencies == sol.frequencies
     assert again.orientations == sol.orientations
     assert again.slacks == sol.slacks
+
+
+def pbc1_3x3_unit():
+    """The wrapped 3x3 PBC1 grid in the committed PBC1 unit's orientation."""
+    doc = json.loads((UNIT_DIR / "pbc1_3x3.json").read_text())
+    orientation = {parse_edge_key(k): v for k, v in doc["solution"]["orientations"].items()}
+    return dataclasses.replace(wrap(square_grid(3, 3), preset_bc("PBC1")), orientation=orientation)
+
+
+def lp_case(name):
+    """(topology, mode, params) of a pinned LP."""
+    p = default_params()
+    eps10 = dataclasses.replace(p, eps_tol=uniform_tightening(10.0))
+    return {
+        # the four MILP models the benchmark solves
+        "p5_eps10": (square_grid(1, 5), "free", eps10),
+        "g2x3_eps10": (square_grid(2, 3), "free", eps10),
+        "w3x3_pbc1_fixed_eps10": (pbc1_3x3_unit(), "fixed", eps10),
+        "g3x3_eps10": (square_grid(3, 3), "free", eps10),
+        "w4x4_pbc1_diff2": (wrap(square_grid(4, 4), preset_bc("PBC1")), "free",
+                            dataclasses.replace(p, delta_diff=2.0)),
+        "g2x2_c1off_proximity": (square_grid(2, 2), "free",
+                                 dataclasses.replace(p, c1_enabled=False, delta_diff=3.0,
+                                                     diff_separation=False)),
+        "w3x3_pbc1_fixed": (pbc1_3x3_unit(), "fixed", p),
+        "g2x2_alpha_positive": (square_grid(2, 2), "free", dataclasses.replace(p, alpha=350.0)),
+    }[name]
+
+
+LP_SHA256 = {
+    "p5_eps10":
+        "e2afe5ded680ef585ce4b90706623fca4c3fe53dd053106e52dbbca63ada4c79",
+    "g2x3_eps10":
+        "d3328973eff24c0267504900ed8363263aa5474f597a2df8b9a4811a3922fadf",
+    "w3x3_pbc1_fixed_eps10":
+        "d421947526ce4a901dd9c853decf1de147fb35ebd8b0dddb7f31b26b4f85ca81",
+    "g3x3_eps10":
+        "290361408db9d0627eddc491c6ce7dd97321847b2baa720f78449136dfba9622",
+    "w4x4_pbc1_diff2":
+        "bc1de1f2ed27f6425e6508151cfc49dfcce5adac63fefdd9d09a6da253abe174",
+    "g2x2_c1off_proximity":
+        "0625dc0cede31328c1a2be340398e0ad4009f344775145043fb7d7a6c9fba0b1",
+    "w3x3_pbc1_fixed":
+        "fb71e40172694e13d9b334eab85e330714ad58537d552ab84e601774731b9b32",
+    "g2x2_alpha_positive":
+        "18d828d9722f17992bb8b62dbde82845df7cff8a21a4158840f116fa1f686d45",
+}
+
+
+@pytest.mark.parametrize("name", LP_SHA256)
+def test_lp_bytes_pinned(name):
+    topo, mode, params = lp_case(name)
+    text = export_lp(build_for(topo, params, mode))
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[name]

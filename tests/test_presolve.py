@@ -8,15 +8,17 @@ import pytest
 
 from freqalloc.assembly import preset_bc
 from freqalloc.constraints import (
+    LINEAR_FORMS,
     ConstraintParams,
     default_params,
     enumerate_records,
-    linear_form,
     uniform_tightening,
 )
 from freqalloc.milp_adapter import solve_lp
 from freqalloc.model import build, export_lp, import_solution, sign_branch
 from freqalloc.topology import Topology, parse_edge_key, square_grid, wrap
+
+from .table_rows import table_rows
 
 UNIT_DIR = pathlib.Path(__file__).parent / "fixtures" / "units"
 
@@ -29,7 +31,7 @@ def c1_draws(topo: Topology, eps_c1: float, seed: int, want: int):
     """In-window frequencies on a 5 MHz grid with an orientation under which C1 holds.
 
     Each coupler's control is its higher-frequency qubit, and a random bit
-    when the two tie; a draw is kept when every C1 record of that
+    when the two tie; a draw is kept when every C1 instance of that
     orientation meets its tightened window.
     """
     params = dataclasses.replace(default_params(), eps_tol={"C1": eps_c1})
@@ -44,16 +46,16 @@ def c1_draws(topo: Topology, eps_c1: float, seed: int, want: int):
             tie = int(rng.integers(2))
             orientation[(a, b)] = tie if freqs[a] == freqs[b] else int(freqs[b] > freqs[a])
         fixed = dataclasses.replace(topo, orientation=orientation)
-        c1 = [r for r in enumerate_records(fixed, "fixed", params) if r.family == "C1"]
+        c1 = [p for fam, p, _, _ in table_rows(enumerate_records(fixed, "fixed", params))
+              if fam == "C1"]
         if all(min(freqs[c] - freqs[t], freqs[t] - freqs[c] - params.alpha) >= eps_c1
-               for c, t in (r.participants for r in c1)):
+               for c, t in c1):
             kept.append((freqs, orientation))
     return kept
 
 
-def expected_sign(rec, orientation) -> int:
+def expected_sign(fam, p, orientation) -> int:
     """+1: the form is >= 0, -1: it is <= 0, 0: either; written out per family."""
-    fam, p = rec.family, rec.participants
     if fam in ("A2", "E2", "S2"):
         return 1
     if fam == "E1":
@@ -71,34 +73,34 @@ def expected_sign(rec, orientation) -> int:
 @pytest.mark.parametrize("name, topo", [("grid3x3", square_grid(3, 3)), ("pbc1_3x3", pbc1_3x3())])
 def test_sign_table_holds_wherever_c1_does(name, topo, eps_c1):
     params = default_params()
-    records = [r for r in enumerate_records(topo, "free", params) if r.family != "C1"]
+    instances = [r for r in table_rows(enumerate_records(topo, "free", params)) if r[0] != "C1"]
     o_vars = {pair: f"o_{pair[0]}_{pair[1]}" for pair in topo.edges}
     pair_of = {var: pair for pair, var in o_vars.items()}
     seen = {"A1": 0, "A2": 0, "E1": 0, "E2": 0, "S1 t<k": 0, "S1 t>k": 0, "S2": 0}
     for freqs, orientation in c1_draws(topo, eps_c1, seed=20261018, want=150):
-        for rec in records:
-            if rec.orientation_case is not None and orientation[rec.gate_pair] != rec.orientation_case:
-                continue  # the coupler points the other way: the record is inactive
-            terms, const = linear_form(rec, params.alpha)
-            value = sum(c * freqs[q] for q, c in terms) + const
-            sign = expected_sign(rec, orientation)
-            branch = sign_branch(rec, orientation)
+        for fam, p, rec_case, pair in instances:
+            if rec_case is not None and orientation[pair] != rec_case:
+                continue  # the coupler points the other way: the instance is inactive
+            roles, k = LINEAR_FORMS[fam]
+            value = sum(c * freqs[p[role]] for role, c in roles) + k * params.alpha
+            sign = expected_sign(fam, p, orientation)
+            branch = sign_branch(fam, p, orientation)
             if sign == 0:
-                assert branch is None and sign_branch(rec, o_vars) is None
+                assert branch is None and sign_branch(fam, p, o_vars) is None
                 continue
-            assert value * sign >= 0.0, (rec, value)
+            assert value * sign >= 0.0, (fam, p, value)
             # fixed mode: only the _p row (0) or only the _n row (1) binds
             assert branch == (0 if sign > 0 else 1)
             # free mode: the row that binds is read off the coupler's o_* bit
-            if rec.family in ("A1", "S1"):
-                var, case = sign_branch(rec, o_vars)
+            if fam in ("A1", "S1"):
+                var, case = sign_branch(fam, p, o_vars)
                 assert int(orientation[pair_of[var]] != case) == branch
             else:
-                assert sign_branch(rec, o_vars) == branch
-            if rec.family == "S1":
-                seen["S1 t>k" if rec.participants[1] > rec.participants[2] else "S1 t<k"] += 1
+                assert sign_branch(fam, p, o_vars) == branch
+            if fam == "S1":
+                seen["S1 t>k" if p[1] > p[2] else "S1 t<k"] += 1
             else:
-                seen[rec.family] += 1
+                seen[fam] += 1
     assert all(seen.values()), seen
 
 
@@ -106,8 +108,9 @@ def test_no_presolve_without_c1_or_with_positive_alpha():
     topo = square_grid(2, 2)
     for params in (dataclasses.replace(default_params(), c1_enabled=False),
                    dataclasses.replace(default_params(), alpha=350.0)):
-        m = build(topo, enumerate_records(topo, "free", params), params, "free")
-        bounded = [r for r in enumerate_records(topo, "free", params) if r.family != "C1"]
+        table = enumerate_records(topo, "free", params)
+        m = build(topo, table, params, "free")
+        bounded = [r for r in table_rows(table) if r[0] != "C1"]
         assert len(m.binaries()) == len(topo.edges) + len(bounded)
 
 
@@ -121,7 +124,7 @@ def unit_3x3_fixed() -> Topology:
 EPS10 = dataclasses.replace(default_params(), eps_tol=uniform_tightening(10.0))
 
 # (case, topology, params, mode, optimum recorded with one binary per absolute-value
-# record, binaries with the sign presolve); the models had 54, 123, 240, 252, 66
+# instance, binaries with the sign presolve); the models had 54, 123, 240, 252, 66
 # and 60 binaries without it.  The last three optima were recorded with the
 # presolve in place and M = default_big_m; an M of 880 MHz (window + |alpha| +
 # the largest base bound) gave 3300, 3770 and 1960 on them.

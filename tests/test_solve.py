@@ -11,7 +11,13 @@ import tracemalloc
 import pytest
 
 from freqalloc.assembly import preset_bc, tile
-from freqalloc.constraints import check, default_params, enumerate_records, uniform_tightening
+from freqalloc.constraints import (
+    ConstraintParams,
+    check,
+    default_params,
+    enumerate_records,
+    uniform_tightening,
+)
 from freqalloc.model import Solution, SolutionParseError, build
 from freqalloc import solve as solve_module
 from freqalloc.solve import (
@@ -29,6 +35,12 @@ ADAPTER = "python3 -m freqalloc.milp_adapter {lp} {out}"
 
 def ext_cfg(template=ADAPTER, budget=60.0):
     return SolverConfig(backend="external", command_template=template, time_budget=budget)
+
+
+def no_instances():
+    """An instance table without rows: a coupler, but no family enabled."""
+    params = ConstraintParams(base_bounds={}, c1_enabled=False)
+    return enumerate_records(Topology(2, [(0, 1)]), "free", params)
 
 
 def free_model(topo, params):
@@ -61,7 +73,7 @@ def test_external_requires_placeholders():
     with pytest.raises(ValueError):
         solve_external(m, ext_cfg(template="mysolver --in {lp}"))
     with pytest.raises(ValueError):
-        solve_anneal([], default_params(), ext_cfg())
+        solve_anneal(no_instances(), default_params(), ext_cfg())
 
 
 def test_external_solves_and_verifies_single_edge():
@@ -282,7 +294,9 @@ def test_chip_diff_verify_memory_is_bounded():
 
 
 def test_anneal_no_records_trivially_feasible():
-    sol = solve_anneal([], default_params(), SolverConfig(backend="anneal", seed=1))
+    table = no_instances()
+    assert len(table) == 0
+    sol = solve_anneal(table, default_params(), SolverConfig(backend="anneal", seed=1))
     assert sol.status == "feasible"
     assert sol.frequencies == {}
 
