@@ -10,10 +10,14 @@ Exit codes: 0 success, 2 usage or config error, 3 solver failure,
 4 infeasible precondition (failed verification, also of a solution that
 solve imported, or a dirty chip report).
 
-A JSON config file passed with --config overrides command-line flags
-section by section; unknown sections or keys are rejected before any
-work happens.  The external solver command template may also come from
-the FREQALLOC_SOLVER_CMD environment variable.
+A JSON config file passed with --config overrides command-line flags;
+unknown sections or keys are rejected before any work happens.  The
+params and solver sections are JSON-typed blocks.  Every key of the
+topology, model, yield and output sections sets the flag with the same
+dest (yield.tol_mhz sets --tol) of the commands that read the section,
+through that flag's own type and choices, so a command reads its options
+from the parsed flags only.  The external solver command template may
+also come from the FREQALLOC_SOLVER_CMD environment variable.
 """
 from __future__ import annotations
 
@@ -60,22 +64,29 @@ class ConfigError(ValueError):
 
 # -- run configuration -------------------------------------------------------
 
-_YIELD_KEYS = {"sigma", "trials", "seed", "jobs", "target", "bracket", "tol_mhz", "max_trials"}
-_TOPOLOGY_KEYS = {"kind", "rows", "cols", "rings", "cells_x", "cells_y", "bc"}
-_MODEL_KEYS = {"mode"}
-_OUTPUT_KEYS = {"out"}
+# flag-backed config sections: their keys, and the commands that read them (None: all)
+_FLAG_SECTIONS = {
+    "topology": ({"kind", "rows", "cols", "rings", "cells_x", "cells_y", "bc"},
+                 {"topo", "assemble"}),
+    "model": ({"mode"}, {"build", "solve"}),
+    "yield": ({"sigma", "trials", "seed", "jobs", "target", "bracket", "tol_mhz", "max_trials"},
+              {"yield", "threshold", "assemble"}),
+    "output": ({"out"}, None),
+}
+_LIST_SEPARATORS = {"sigma": ",", "bracket": ":"}
 
 
 @dataclass
 class RunConfig:
-    """Validated contents of a --config file, one section per concern."""
+    """Validated contents of a --config file.
 
-    topology: dict = field(default_factory=dict)
+    params and solver are the JSON-typed blocks; flags maps each
+    flag-backed section to its {key: value} object.
+    """
+
     params: dict | None = None
-    model: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
-    yield_opts: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)
 
     @staticmethod
     def load(path: str | None) -> "RunConfig":
@@ -87,7 +98,7 @@ class RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        sections = {"topology", "params", "model", "solver", "yield", "output"}
+        sections = {"params", "solver", *_FLAG_SECTIONS}
         unknown = set(raw) - sections
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -107,14 +118,37 @@ class RunConfig:
         solver = section("solver", None)
         if solver:
             SolverConfig.from_json_dict(solver)
-        return RunConfig(
-            topology=section("topology", _TOPOLOGY_KEYS),
-            params=params,
-            model=section("model", _MODEL_KEYS),
-            solver=solver,
-            yield_opts=section("yield", _YIELD_KEYS),
-            output=section("output", _OUTPUT_KEYS),
-        )
+        return RunConfig(params=params, solver=solver,
+                         flags={name: section(name, keys)
+                                for name, (keys, _) in _FLAG_SECTIONS.items()})
+
+    def fold_into(self, args: argparse.Namespace) -> None:
+        """Set the command's flags from the sections it reads, each value as its flag would."""
+        for name, values in self.flags.items():
+            commands = _FLAG_SECTIONS[name][1]
+            if commands is not None and args.command not in commands:
+                continue
+            for key, value in values.items():
+                action = args.flag_actions.get("tol" if key == "tol_mhz" else key)
+                if action is not None:  # a key whose flag the command lacks is ignored
+                    setattr(args, action.dest, _flag_value(action, value, f"config {name}.{key}"))
+
+
+def _flag_value(action: argparse.Action, value, where: str):
+    """value converted by the flag's type and checked against its choices."""
+    if action.dest == "bc" and isinstance(value, dict):
+        return value  # a custom boundary condition object
+    if action.dest in _LIST_SEPARATORS and isinstance(value, list):
+        value = _LIST_SEPARATORS[action.dest].join(map(str, value))
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: expected a string or a number, got {json.dumps(value)}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        raise ConfigError(f"{where}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigError(f"{where}: {value!r} is not one of {list(action.choices)}")
+    return converted
 
 
 # -- small parsers ------------------------------------------------------------
@@ -212,19 +246,15 @@ def _effective_params(args: argparse.Namespace, cfg: RunConfig) -> ConstraintPar
     return params
 
 
-def _resolve_bc(value) -> BoundaryCondition:
-    if isinstance(value, BoundaryCondition):
-        return value
-    if isinstance(value, dict):
-        return BoundaryCondition.from_json_dict(value)
-    return preset_bc(str(value))
+def _resolve_bc(value: str | dict) -> BoundaryCondition:
+    """A preset named by --bc, or a custom boundary condition object from topology.bc."""
+    return BoundaryCondition.from_json_dict(value) if isinstance(value, dict) else preset_bc(value)
 
 
-def _out_path(args: argparse.Namespace, cfg: RunConfig, required: bool = True) -> str | None:
-    out = cfg.output.get("out", getattr(args, "out", None))
-    if out is None and required:
+def _out_path(args: argparse.Namespace) -> str:
+    if args.out is None:
         raise ConfigError("no output path: pass --out or set output.out in the config")
-    return out
+    return args.out
 
 
 def _fill_isolated(topo: Topology, sol: Solution, params: ConstraintParams) -> Solution:
@@ -245,37 +275,20 @@ def _assignment_for(topo: Topology, sol: Solution, params: ConstraintParams):
     return _fill_isolated(topo, sol, params).as_assignment()
 
 
-def _model_inputs(topo: Topology, params: ConstraintParams, args, cfg: RunConfig):
-    """Model mode and its instance table; enumerate_records rejects a bad mode."""
-    mode = cfg.model.get("mode", args.mode)
-    return mode, enumerate_records(topo, mode, params)
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
-    opts = dict(cfg.topology)
-    kind = opts.get("kind", args.kind)
-    if kind == "square":
-        rows = int(opts.get("rows", args.rows or 0))
-        cols = int(opts.get("cols", args.cols or 0))
-        topo = square_grid(rows, cols)
-    elif kind == "hex":
-        rings = opts.get("rings", args.rings)
-        if rings is not None:
-            topo = hex_rings(int(rings))
-        else:
-            cx = opts.get("cells_x", args.cells_x)
-            cy = opts.get("cells_y", args.cells_y)
-            if cx is None or cy is None:
-                raise ConfigError("hex topology needs --rings or --cells-x/--cells-y")
-            topo = hex_grid(int(cx), int(cy))
+    if args.kind == "square":
+        topo = square_grid(args.rows or 0, args.cols or 0)
+    elif args.rings is not None:
+        topo = hex_rings(args.rings)
+    elif args.cells_x is None or args.cells_y is None:
+        raise ConfigError("hex topology needs --rings or --cells-x/--cells-y")
     else:
-        raise ConfigError(f"unknown topology kind {kind!r}")
-    bc_value = opts.get("bc", args.bc)
-    if bc_value is not None:
-        topo = wrap(topo, _resolve_bc(bc_value))
-    out = _out_path(args, cfg)
+        topo = hex_grid(args.cells_x, args.cells_y)
+    if args.bc is not None:
+        topo = wrap(topo, _resolve_bc(args.bc))
+    out = _out_path(args)
     _write_json(out, topo.to_json_dict(), argv)
     print(f"wrote {out}: {topo.n_qubits} qubits, {len(topo.edges)} couplers")
     return EXIT_OK
@@ -284,9 +297,9 @@ def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
 def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, table = _model_inputs(topo, params, args, cfg)
-    model = build(topo, table, params, mode)
-    out = _out_path(args, cfg)
+    table = enumerate_records(topo, args.mode, params)
+    model = build(topo, table, params, args.mode)
+    out = _out_path(args)
     _write_text(out, export_lp(model), argv)
     print(f"wrote {out}: {len(model.variables)} variables, {len(model.rows)} rows, "
           f"{len(model.binaries())} binaries")
@@ -314,11 +327,11 @@ def _solver_config(args, cfg: RunConfig) -> SolverConfig:
 def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
-    mode, table = _model_inputs(topo, params, args, cfg)
+    table = enumerate_records(topo, args.mode, params)
     scfg = _solver_config(args, cfg)
     extra = {}
     if scfg.backend == "external":
-        model = build(topo, table, params, mode)
+        model = build(topo, table, params, args.mode)
         sol = solve_external(model, scfg)
         extra = {"model": {"variables": len(model.variables), "rows": len(model.rows),
                            "binaries": len(model.binaries())},
@@ -326,7 +339,7 @@ def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
     else:
         sol = solve_anneal(table, params, scfg)
     sol = _fill_isolated(topo, sol, params)
-    out = _out_path(args, cfg)
+    out = _out_path(args)
     _write_json(out, sol.to_json_dict(), argv, extra)
     obj = "none" if sol.objective_value is None else f"{sol.objective_value:.6g}"
     print(f"wrote {out}: status {sol.status}, objective {obj}")
@@ -357,31 +370,15 @@ def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
     sol = replace(sol, orientations={**(topo.orientation or {}), **sol.orientations})
     report = verify(sol, enumerate_records(topo, "free", params), params,
                     tightened=(args.bounds == "tightened"))
-    out = _out_path(args, cfg, required=False)
-    if out:
-        _write_json(out, report.to_json_dict(), argv)
+    if args.out:
+        _write_json(args.out, report.to_json_dict(), argv)
     return _verdict(report, args.bounds)
 
 
-def _yield_opts(args, cfg: RunConfig) -> dict:
-    merged = {
-        "sigma": getattr(args, "sigma", None),
-        "trials": args.trials, "seed": args.seed, "jobs": args.jobs,
-        "target": getattr(args, "target", None),
-        "bracket": getattr(args, "bracket", None),
-        "tol_mhz": getattr(args, "tol", None),
-        "max_trials": getattr(args, "max_trials", None),
-    }
-    merged.update(cfg.yield_opts)
-    return merged
-
-
-def _yield_csv(assignment, topo: Topology, params: ConstraintParams, opts: dict) -> str:
-    """The yield CSV, one row per dispersion level of opts["sigma"]."""
-    sigmas = opts["sigma"] if isinstance(opts["sigma"], list) else parse_sigmas(str(opts["sigma"]))
-    curve = yield_curve(assignment, topo, params, [float(s) for s in sigmas],
-                        trials=int(opts["trials"]), seed=int(opts["seed"]),
-                        n_jobs=int(opts["jobs"]))
+def _yield_csv(assignment, topo: Topology, params: ConstraintParams, args) -> str:
+    """The yield CSV, one row per dispersion level of --sigma."""
+    curve = yield_curve(assignment, topo, params, parse_sigmas(args.sigma),
+                        trials=args.trials, seed=args.seed, n_jobs=args.jobs)
     return "\n".join([CSV_HEADER, *map(csv_row, curve)]) + "\n"
 
 
@@ -389,15 +386,13 @@ def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
     assignment = _assignment_for(topo, _load_solution(args.solution), params)
-    opts = _yield_opts(args, cfg)
-    if opts["sigma"] is None:
+    if args.sigma is None:
         raise ConfigError("no dispersion levels: pass --sigma or set yield.sigma")
-    text = _yield_csv(assignment, topo, params, opts)
-    out = _out_path(args, cfg, required=False)
-    if out:
-        _write_text(out, text, argv)
+    text = _yield_csv(assignment, topo, params, args)
+    if args.out:
+        _write_text(args.out, text, argv)
         levels = len(text.splitlines()) - 1
-        print(f"wrote {out}: {levels} dispersion levels x {opts['trials']} trials")
+        print(f"wrote {args.out}: {levels} dispersion levels x {args.trials} trials")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -407,27 +402,20 @@ def cmd_threshold(args, cfg: RunConfig, argv: list[str]) -> int:
     topo = _load_topology(args.topology)
     params = _effective_params(args, cfg)
     assignment = _assignment_for(topo, _load_solution(args.solution), params)
-    opts = _yield_opts(args, cfg)
-    if opts["target"] is None:
+    if args.target is None:
         raise ConfigError("no target yield: pass --target or set yield.target")
-    bracket = opts["bracket"]
-    bracket = tuple(bracket) if isinstance(bracket, (list, tuple)) else parse_pair(str(bracket), "bracket")
+    bracket = parse_pair(args.bracket, "bracket")
     sigma_star = threshold_dispersion(
-        assignment, topo, params,
-        target_yield=float(opts["target"]), trials=int(opts["trials"]),
-        sigma_bracket=(float(bracket[0]), float(bracket[1])),
-        tol_mhz=float(opts["tol_mhz"]), seed=int(opts["seed"]),
-        max_trials=int(opts["max_trials"]), n_jobs=int(opts["jobs"]),
+        assignment, topo, params, target_yield=args.target, trials=args.trials,
+        sigma_bracket=bracket, tol_mhz=args.tol, seed=args.seed,
+        max_trials=args.max_trials, n_jobs=args.jobs,
     )
     row = "%.8g,%.8g,%.6g,%.6g,%d,%d" % (
-        float(opts["target"]), sigma_star, bracket[0], bracket[1],
-        int(opts["trials"]), int(opts["seed"]),
-    )
+        args.target, sigma_star, *bracket, args.trials, args.seed)
     text = THRESHOLD_CSV_HEADER + "\n" + row + "\n"
-    out = _out_path(args, cfg, required=False)
-    if out:
-        _write_text(out, text, argv)
-        print(f"wrote {out}: threshold dispersion {sigma_star:.6g} MHz")
+    if args.out:
+        _write_text(args.out, text, argv)
+        print(f"wrote {args.out}: threshold dispersion {sigma_star:.6g} MHz")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -439,7 +427,7 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
         raise ConfigError("pass the unwrapped unit topology; tiling applies the wrap itself")
     params = _effective_params(args, cfg)
     sol = _load_solution(args.solution)
-    bc = _resolve_bc(cfg.topology.get("bc", args.bc))
+    bc = _resolve_bc(args.bc)
     fill = args.fill_orientation
 
     try:
@@ -452,7 +440,7 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
     report = chip_check(asm, params)
     on_seams = seam_violations(asm, report)
 
-    prefix = _out_path(args, cfg)
+    prefix = args.out
     _write_json(prefix + ".chip.json", asm.to_json_dict(), argv)
     _write_json(prefix + ".report.json", {
         "unit_wrap_feasible": unit_feasible,
@@ -461,9 +449,8 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
         "all_violations_on_seams": len(on_seams) == len(report.violations),
     }, argv)
 
-    opts = _yield_opts(args, cfg)
-    if opts["sigma"] is not None:
-        text = _yield_csv(asm.chip_assignment, asm.chip_topology, params, opts)
+    if args.sigma is not None:
+        text = _yield_csv(asm.chip_assignment, asm.chip_topology, params, args)
         _write_text(prefix + ".yield.csv", text, argv)
 
     big_rows = asm.unit_geometry[0] * asm.reps[1]
@@ -574,6 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", help="JSON config overriding these flags")
+        sp.set_defaults(flag_actions={action.dest: action for action in sp._actions})
     return ap
 
 
@@ -583,6 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
+        cfg.fold_into(args)
         return args.func(args, cfg, argv)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,8 +81,9 @@ class SolverConfig:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.anneal["init_temp"] <= 0:
             raise ValueError("init_temp must be > 0")
-        if int(self.anneal["moves_per_temp"]) < 1:
-            raise ValueError("moves_per_temp must be >= 1")
+        moves = self.anneal["moves_per_temp"]
+        if not isinstance(moves, int) or moves < 1:
+            raise ValueError(f"moves_per_temp must be an integer >= 1, got {moves!r}")
         if self.anneal["freq_step_mhz"] <= 0:
             raise ValueError("freq_step_mhz must be > 0")
 
@@ -369,7 +370,7 @@ def solve_anneal(
 
     temp = float(cfg.anneal["init_temp"])
     cooling = float(cfg.anneal["cooling_rate"])
-    per_level = int(cfg.anneal["moves_per_temp"])
+    per_level = cfg.anneal["moves_per_temp"]
 
     while temp > _FINAL_TEMP:
         for _ in range(per_level):

@@ -73,14 +73,21 @@ class BoundaryCondition:
 
     @staticmethod
     def from_json_dict(d: dict) -> "BoundaryCondition":
-        def axis(a: dict) -> AxisWrap:
-            return AxisWrap(
-                shift=int(a.get("shift", 0)),
-                flip=bool(a.get("flip", False)),
-                enabled=bool(a.get("enabled", True)),
-            )
+        """Read a boundary condition object; a value of the wrong JSON type is a ValueError."""
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+            raise ValueError(f"boundary condition must be an object with a string name, got {d!r}")
 
-        return BoundaryCondition(name=str(d["name"]), x=axis(d.get("x", {})), y=axis(d.get("y", {})))
+        def axis(a) -> AxisWrap:
+            if not isinstance(a, dict):
+                raise ValueError(f"boundary condition axis must be an object, got {a!r}")
+            shift, flip, enabled = a.get("shift", 0), a.get("flip", False), a.get("enabled", True)
+            if isinstance(shift, bool) or not isinstance(shift, int):
+                raise ValueError(f"axis shift must be an integer, got {shift!r}")
+            if not (isinstance(flip, bool) and isinstance(enabled, bool)):
+                raise ValueError(f"axis flip and enabled must be true or false, got {a!r}")
+            return AxisWrap(shift=shift, flip=flip, enabled=enabled)
+
+        return BoundaryCondition(name=d["name"], x=axis(d.get("x", {})), y=axis(d.get("y", {})))
 
 
 @dataclass

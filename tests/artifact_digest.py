@@ -10,8 +10,10 @@ solves), anneal solutions (including windows, alpha, gap separations and
 grid steps that are not exact in binary), verify reports at base and
 tightened bounds (one of them with DIFF on a 256-qubit chip), yield and
 threshold CSVs (some sharded with --jobs 2, one threshold escalating to its
-trial cap), the chip, report and yield files of three tilings, and the chip
-and report of a fourth whose seams collide.  The .meta.json sidecars, which
+trial cap), two topologies and one threshold CSV whose options all come from
+--config (a preset and a custom boundary condition, a bracket list), the
+chip, report and yield files of three tilings, and the chip and report of a
+fourth whose seams collide.  The .meta.json sidecars, which
 hold wall-clock data, are deleted; transcript.txt keeps each command's exit
 code, stdout and stderr.
 Outputs from two trees then compare with
@@ -59,6 +61,19 @@ def write_inputs() -> None:
             {"solver": {"anneal": {"cooling_rate": 0.97, "freq_step_mhz": 0.3}}},
         "g2x2step.config.json":
             {"solver": {"anneal": {"cooling_rate": 0.97, "freq_step_mhz": 0.7}}},
+        # topo and threshold runs whose every option comes from the config
+        "g4x4_pbc2.config.json":
+            {"topology": {"kind": "square", "rows": 4, "cols": 4, "bc": "PBC2"},
+             "output": {"out": "g4x4_pbc2_config.json"}},
+        "g3x4_custom.config.json":
+            {"topology": {"rows": 3, "cols": 4,
+                          "bc": {"name": "twist", "x": {"shift": 1, "flip": True},
+                                 "y": {"shift": 2, "enabled": True}}},
+             "output": {"out": "g3x4_custom_config.json"}},
+        "threshold.config.json":
+            {"yield": {"target": 0.8, "bracket": [0.5, 30], "tol_mhz": 0.3, "trials": 1500,
+                       "seed": 9, "max_trials": 12000, "jobs": 1},
+             "output": {"out": "pbc1_4x4_config.threshold.csv"}},
         "pbc1_4x4.sol.json": json.loads((UNIT_DIR / "pbc1_4x4.json").read_text())["solution"],
     }
     for name, obj in files.items():
@@ -106,6 +121,8 @@ def commands() -> list[list[str]]:
         ["topo", "--rows", "1", "--cols", "5", "--out", "p5.json"],
         ["topo", "--rows", "2", "--cols", "3", "--out", "g2x3.json"],
         ["topo", "--rows", "3", "--cols", "3", "--out", "g3x3.json"],
+        ["topo", "--config", "g4x4_pbc2.config.json"],
+        ["topo", "--config", "g3x4_custom.config.json"],
     ]
     for name, topo, flags in [
         ("pbc1_free_eps10_diff3", "g3x3_pbc1", ["--eps-tol", "10", "--diff", "3"]),
@@ -157,6 +174,7 @@ def commands() -> list[list[str]]:
         ["threshold", *unit, "--target", "0.5", "--bracket", "1:20", "--tol", "0.25",
          "--trials", "2000", "--seed", "4", "--max-trials", "32000",
          "--out", "pbc1_4x4_cap.threshold.csv"],
+        ["threshold", *unit, "--config", "threshold.config.json"],
         ["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json", "--bc", "PBC1",
          "--nx", "4", "--ny", "4", "--sigma", "1.75,2.25", "--trials", "600", "--seed", "2",
          "--jobs", "2", "--out", "chip4x4_jobs2"],

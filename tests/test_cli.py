@@ -13,7 +13,7 @@ from freqalloc import cli
 from freqalloc.cli import ConfigError, main, parse_budget, parse_pair, parse_sigmas
 from freqalloc.constraints import default_params, enumerate_records, uniform_tightening
 from freqalloc.model import Solution, build, export_lp
-from freqalloc.topology import Topology, square_grid
+from freqalloc.topology import Topology, square_grid, uniform_orientation
 
 import dataclasses
 
@@ -434,27 +434,150 @@ MALFORMED_INPUTS = {
     "config_command_template_number": (None, None, {"solver": {"command_template": 5}}, []),
     "jobs_zero": (None, None, None, ["--jobs", "0"]),
     "jobs_negative": (None, None, None, ["--jobs", "-3"]),
+    "config_trials_fraction": (None, None, {"yield": {"trials": 1.5}}, []),
+    "config_trials_null": (None, None, {"yield": {"trials": None}}, []),
+    "config_sigma_bool_list": (None, None, {"yield": {"sigma": [True]}}, []),
+    "config_yield_seed_bool": (None, None, {"yield": {"seed": True}}, []),
+    "config_moves_per_temp_fraction":
+        (None, None, {"solver": {"backend": "anneal",
+                                 "anneal": {"moves_per_temp": 1.5, "cooling_rate": 0.5}}}, []),
+}
+
+# (command, --config document) for the commands the table above does not run
+MALFORMED_CONFIGS = {
+    "topo_rows_fraction": ("topo", {"topology": {"rows": 2.7}}),
+    "topo_rows_null": ("topo", {"topology": {"rows": None}}),
+    "topo_bc_flip_string": ("topo", {"topology": {"bc": {"name": "c", "x": {"flip": "false"}}}}),
+    "topo_bc_shift_fraction": ("topo", {"topology": {"bc": {"name": "c", "x": {"shift": 1.7}}}}),
+    "topo_bc_without_name": ("topo", {"topology": {"bc": {"x": {"shift": 1}}}}),
+    "topo_bc_axis_list": ("topo", {"topology": {"bc": {"name": "c", "x": []}}}),
+    "threshold_bracket_one_value": ("threshold", {"yield": {"bracket": [1]}}),
+    "threshold_tol_null": ("threshold", {"yield": {"tol_mhz": None}}),
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_INPUTS)
-def test_malformed_input_exit_2(tmp_path, capsys, case):
-    topo_doc, params_doc, config_doc, flags = MALFORMED_INPUTS[case]
+def two_qubit_inputs(tmp_path, topo_doc=None) -> list[str]:
+    """--topology and --solution flags for a feasible 1x2 path (or topo_doc) in tmp_path."""
     topo = tmp_path / "t.json"
     topo.write_text(json.dumps(topo_doc if topo_doc is not None
                                else {"n_qubits": 2, "edges": [[0, 1]]}))
     sol = tmp_path / "s.json"
     sol.write_text(json.dumps({"status": "feasible", "frequencies_mhz": {"0": 5000.0, "1": 5100.0},
                                "orientations": {"0-1": 0}}))
-    argv = ["yield", "--topology", str(topo), "--solution", str(sol), "--sigma", "1",
+    return ["--topology", str(topo), "--solution", str(sol)]
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    topo_doc, params_doc, config_doc, flags = MALFORMED_INPUTS[case]
+    argv = ["yield", *two_qubit_inputs(tmp_path, topo_doc), "--sigma", "1",
             "--trials", "10", *flags]
     for flag, doc in (("--params", params_doc), ("--config", config_doc)):
         if doc is not None:
             (tmp_path / "in.json").write_text(json.dumps(doc))
             argv += [flag, str(tmp_path / "in.json")]
     assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_exit_2(tmp_path, capsys, case):
+    command, doc = MALFORMED_CONFIGS[case]
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    argv = {
+        "topo": ["topo", "--rows", "3", "--cols", "3", "--out", str(tmp_path / "x.json")],
+        "threshold": ["threshold", *two_qubit_inputs(tmp_path), "--target", "0.5",
+                      "--trials", "10"],
+    }[command]
+    assert main([*argv, "--config", str(tmp_path / "in.json")]) == 2
+    assert_one_error_line(capsys)
+
+
+# -- config files ------------------------------------------------------------------
+
+QUICK_ANNEAL = {"anneal": {"cooling_rate": 0.9}}
+UNIT_INPUTS = ["--topology", "unit.json", "--solution", "unit_sol.json"]
+
+# (command and its inputs, options as flags, the same options as config sections);
+# between them the cases set every key of the topology, model, yield and output sections
+CONFIG_EQUALS_FLAGS = {
+    "topo_square": (["topo"], ["--kind", "square", "--rows", "3", "--cols", "4", "--bc", "PBC2"],
+                    {"topology": {"kind": "square", "rows": 3, "cols": 4, "bc": "PBC2"}}),
+    "topo_hex_rings": (["topo"], ["--kind", "hex", "--rings", "2"],
+                       {"topology": {"kind": "hex", "rings": 2}}),
+    "topo_hex_cells": (["topo"], ["--kind", "hex", "--cells-x", "2", "--cells-y", "3"],
+                       {"topology": {"kind": "hex", "cells_x": 2, "cells_y": 3}}),
+    "build_fixed": (["build", "--topology", "o2x2.json"], ["--mode", "fixed"],
+                    {"model": {"mode": "fixed"}}),
+    "solve_fixed": (["solve", "--topology", "o2x2.json", "--backend", "anneal"],
+                    ["--mode", "fixed"], {"model": {"mode": "fixed"}}),
+    "verify": (["verify", *UNIT_INPUTS], [], {}),
+    "yield": (["yield", *UNIT_INPUTS], ["--sigma", "2,5", "--trials", "300", "--seed", "4",
+                                        "--jobs", "2"],
+              {"yield": {"sigma": [2, 5], "trials": 300, "seed": 4, "jobs": 2}}),
+    "threshold": (["threshold", *UNIT_INPUTS],
+                  ["--target", "0.5", "--bracket", "1:20", "--tol", "0.5", "--trials", "500",
+                   "--seed", "3", "--max-trials", "4000"],
+                  {"yield": {"target": 0.5, "bracket": [1, 20], "tol_mhz": 0.5, "trials": 500,
+                             "seed": 3, "max_trials": 4000}}),
+    "assemble": (["assemble", "--unit", "u3x3.json", "--solution", "unit_sol.json",
+                  "--nx", "2", "--ny", "2", "--fill-orientation", "0"],
+                 ["--bc", "PBC3", "--sigma", "3,4", "--trials", "200", "--seed", "2"],
+                 {"topology": {"bc": "PBC3"}, "yield": {"sigma": "3,4", "trials": 200, "seed": 2}}),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_EQUALS_FLAGS)
+def test_config_equals_flags(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    assert main(["topo", "--rows", "3", "--cols", "3", "--bc", "PBC1", "--out", "unit.json"]) == 0
+    assert main(["topo", "--rows", "3", "--cols", "3", "--out", "u3x3.json"]) == 0
+    write_unit_solution(tmp_path)
+    oriented = square_grid(2, 2)
+    oriented.orientation = uniform_orientation(oriented)
+    pathlib.Path("o2x2.json").write_text(oriented.to_json())
+
+    command, flags, sections = CONFIG_EQUALS_FLAGS[case]
+    pathlib.Path("flags.cfg").write_text(json.dumps({"solver": QUICK_ANNEAL}))
+    pathlib.Path("sections.cfg").write_text(
+        json.dumps({"solver": QUICK_ANNEAL, **sections, "output": {"out": "by_config"}}))
+    code = main([*command, *flags, "--config", "flags.cfg", "--out", "by_flags"])
+    # output.out overrides the --out flag
+    assert main([*command, "--config", "sections.cfg", "--out", "ignored"]) == code
+    assert not list(tmp_path.glob("ignored*"))
+
+    def artifacts(prefix):
+        return {p.name[len(prefix):]: p.read_bytes() for p in tmp_path.glob(prefix + "*")
+                if not p.name.endswith(".meta.json")}
+
+    assert artifacts("by_flags") and artifacts("by_config") == artifacts("by_flags")
+
+
+def test_solve_ignores_the_yield_section(tmp_path, monkeypatch):
+    # solve takes its seed from --seed or solver.seed; yield.seed is for yield, threshold, assemble
+    monkeypatch.chdir(tmp_path)
+    assert main(["topo", "--rows", "1", "--cols", "3", "--out", "p3.json"]) == 0
+    runs = {"plain": ({}, []), "yield_seed": ({"yield": {"seed": 5}}, []),
+            "seed_flag": ({}, ["--seed", "5"])}
+    for name, (sections, flags) in runs.items():
+        pathlib.Path(f"{name}.cfg").write_text(json.dumps({"solver": QUICK_ANNEAL, **sections}))
+        assert main(["solve", "--topology", "p3.json", "--backend", "anneal", *flags,
+                     "--config", f"{name}.cfg", "--out", f"{name}.json"]) == 0
+    plain = pathlib.Path("plain.json").read_bytes()
+    assert pathlib.Path("yield_seed.json").read_bytes() == plain
+    assert pathlib.Path("seed_flag.json").read_bytes() != plain
+
+
+def test_integer_output_path_names_a_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("out.cfg").write_text(json.dumps({"output": {"out": 987}}))
+    assert main(["topo", "--rows", "2", "--cols", "2", "--config", "out.cfg"]) == 0
+    assert Topology.from_json(pathlib.Path("987").read_text()).n_qubits == 4
 
 
 def test_solve_reverifies_an_imported_solution(tmp_path, capsys):
