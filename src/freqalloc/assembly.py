@@ -24,6 +24,7 @@ from .constraints import (
     check,
     enumerate_records,
 )
+from .jsonio import array, fields, integer, mapping
 from .model import Solution
 from .solve import verify
 from .topology import AxisWrap, BoundaryCondition, Edge, Topology, square_grid, wrap
@@ -59,7 +60,7 @@ def preset_bc(name: str) -> BoundaryCondition:
     entry = PRESET_TABLE[name]
     return BoundaryCondition(
         name=name,
-        x=AxisWrap(shift=int(entry["x_shift"]), flip=bool(entry["x_flip"])),
+        x=AxisWrap(shift=entry["x_shift"], flip=entry["x_flip"]),
         y=AxisWrap(),
     )
 
@@ -93,16 +94,17 @@ class ChipAssembly:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "ChipAssembly":
-        return ChipAssembly(
-            chip_topology=Topology.from_json_dict(d["topology"]),
-            chip_assignment=FrequencyAssignment.from_json_dict(d["assignment"]),
-            unit_geometry=tuple(d["unit_geometry"]),
-            reps=tuple(d["reps"]),
-            bc=BoundaryCondition.from_json_dict(d["bc"]),
-            seam_edges=[int(i) for i in d.get("seam_edges", [])],
-            edge_image={int(k): int(v) for k, v in d.get("edge_image", {}).items()},
-        )
+    def from_json_dict(d: dict, where: str = "chip") -> "ChipAssembly":
+        f = fields(d, where, _CHIP_FIELDS, required=tuple(_CHIP_FIELDS))
+        return ChipAssembly(f["topology"], f["assignment"], tuple(f["unit_geometry"]),
+                            tuple(f["reps"]), f["bc"], f["seam_edges"],
+                            {int(k): v for k, v in f["edge_image"].items()})
+
+
+_CHIP_FIELDS = {"topology": Topology.from_json_dict, "unit_geometry": array(integer, 2),
+                "assignment": FrequencyAssignment.from_json_dict, "reps": array(integer, 2),
+                "bc": BoundaryCondition.from_json_dict, "seam_edges": array(integer),
+                "edge_image": mapping(integer)}
 
 
 def _validate_tiling_args(unit: Topology, bc: BoundaryCondition, nx: int, ny: int) -> tuple[int, int]:
@@ -150,7 +152,7 @@ def tile(
     rows, cols = _validate_tiling_args(unit, bc, nx, ny)
     if fill_orientation not in (None, 0, 1):
         raise ValueError("fill_orientation must be None, 0, or 1")
-    if unit_solution.status not in ("optimal", "feasible"):
+    if not unit_solution.solved:
         raise PreconditionError(f"unit solution status is {unit_solution.status!r}")
 
     wrapped = wrap(unit, bc)

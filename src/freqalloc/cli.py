@@ -10,14 +10,15 @@ Exit codes: 0 success, 2 usage or config error, 3 solver failure,
 4 infeasible precondition (failed verification, also of a solution that
 solve imported, or a dirty chip report).
 
-A JSON config file passed with --config overrides command-line flags;
-unknown sections or keys are rejected before any work happens.  The
-params and solver sections are JSON-typed blocks.  Every key of the
+Every JSON input file is read by _load through the typed readers of
+freqalloc.jsonio, and a --config file overrides command-line flags: an
+unknown key, or a value of the wrong JSON type or one its flag's type
+rejects, exits 2 with one line naming it before any work happens.  The
+params and solver sections are JSON-typed blocks; every key of the
 topology, model, yield and output sections sets the flag with the same
 dest (yield.tol_mhz sets --tol) of the commands that read the section,
-through that flag's own type and choices, so a command reads its options
-from the parsed flags only.  The external solver command template may
-also come from the FREQALLOC_SOLVER_CMD environment variable.
+through that flag's own type and choices.  The external solver command
+template may also come from the FREQALLOC_SOLVER_CMD environment variable.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import __version__
 from .assembly import PreconditionError, chip_check, preset_bc, seam_violations, tile
@@ -37,6 +39,7 @@ from .constraints import (
     enumerate_records,
     uniform_tightening,
 )
+from .jsonio import fields
 from .model import Solution, SolutionParseError, build, export_lp
 from .solve import SolverConfig, SolverFailure, solve_anneal, solve_external, verify
 from .topology import BoundaryCondition, Topology, hex_grid, hex_rings, square_grid, wrap
@@ -76,15 +79,26 @@ _FLAG_SECTIONS = {
 _LIST_SEPARATORS = {"sigma": ",", "bracket": ":"}
 
 
+def _solver_block(value, where: str) -> dict:
+    SolverConfig.from_json_dict(value, where)  # schema and range check up front
+    return value
+
+
+# a flag-backed key keeps its value, which fold_into reads with the flag's own type
+_CONFIG_FIELDS = {"params": ConstraintParams.from_json_dict, "solver": _solver_block,
+                  **{name: partial(fields, spec=dict.fromkeys(keys, lambda value, where: value))
+                     for name, (keys, _) in _FLAG_SECTIONS.items()}}
+
+
 @dataclass
 class RunConfig:
     """Validated contents of a --config file.
 
-    params and solver are the JSON-typed blocks; flags maps each
-    flag-backed section to its {key: value} object.
+    params is the parsed params block, solver the checked solver block;
+    flags maps each flag-backed section to its {key: value} object.
     """
 
-    params: dict | None = None
+    params: ConstraintParams | None = None
     solver: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
 
@@ -92,35 +106,8 @@ class RunConfig:
     def load(path: str | None) -> "RunConfig":
         if path is None:
             return RunConfig()
-        try:
-            raw = _read_json(path, "config")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        sections = {"params", "solver", *_FLAG_SECTIONS}
-        unknown = set(raw) - sections
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-        def section(name: str, allowed: set | None) -> dict:
-            d = raw.get(name, {})
-            if not isinstance(d, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(d) - allowed if allowed is not None else ()
-            if bad:
-                raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-            return d
-
-        params = raw.get("params")
-        if params is not None:
-            ConstraintParams.from_json_dict(section("params", None))  # schema check up front
-        solver = section("solver", None)
-        if solver:
-            SolverConfig.from_json_dict(solver)
-        return RunConfig(params=params, solver=solver,
-                         flags={name: section(name, keys)
-                                for name, (keys, _) in _FLAG_SECTIONS.items()})
+        doc = _load(path, "config", partial(fields, where="config", spec=_CONFIG_FIELDS))
+        return RunConfig(doc.pop("params", None), doc.pop("solver", {}), flags=doc)
 
     def fold_into(self, args: argparse.Namespace) -> None:
         """Set the command's flags from the sections it reads, each value as its flag would."""
@@ -131,19 +118,21 @@ class RunConfig:
             for key, value in values.items():
                 action = args.flag_actions.get("tol" if key == "tol_mhz" else key)
                 if action is not None:  # a key whose flag the command lacks is ignored
-                    setattr(args, action.dest, _flag_value(action, value, f"config {name}.{key}"))
+                    setattr(args, action.dest, _flag_value(action, value, f"config.{name}.{key}"))
 
 
 def _flag_value(action: argparse.Action, value, where: str):
     """value converted by the flag's type and checked against its choices."""
     if action.dest == "bc" and isinstance(value, dict):
-        return value  # a custom boundary condition object
+        return BoundaryCondition.from_json_dict(value, where)  # a custom boundary condition
     if action.dest in _LIST_SEPARATORS and isinstance(value, list):
         value = _LIST_SEPARATORS[action.dest].join(map(str, value))
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{where}: expected a string or a number, got {json.dumps(value)}")
     try:
         converted = action.type(str(value)) if action.type else str(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     except ValueError:
         raise ConfigError(f"{where}: invalid {action.type.__name__} value {value!r}") from None
     if action.choices is not None and converted not in action.choices:
@@ -177,6 +166,14 @@ def parse_sigmas(text: str) -> list[float]:
     return sigmas
 
 
+def seed(text: str) -> int:
+    """A Monte Carlo seed, the key of a Philox generator: an integer in [0, 2**128)."""
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**128), got {value}")
+    return value
+
+
 def parse_pair(text: str, what: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -206,35 +203,21 @@ def _write_json(path: str, obj: dict, argv: list[str], extra: dict | None = None
     _write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n", argv, extra)
 
 
-def _read_json(path: str, what: str):
-    """Parsed contents of a JSON file; an unreadable file is a ConfigError."""
+def _load(path: str, what: str, reader):
+    """reader's object from the JSON file at path; a file it cannot read is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+            return reader(json.load(fh))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _load_topology(path: str) -> Topology:
-    try:
-        return Topology.from_json_dict(_read_json(path, "topology"))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{path} is not a topology file: {exc}") from exc
-
-
-def _load_solution(path: str) -> Solution:
-    try:
-        return Solution.from_json_dict(_read_json(path, "solution"))
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{path} is not a solution file: {exc}") from exc
 
 
 def _effective_params(args: argparse.Namespace, cfg: RunConfig) -> ConstraintParams:
     """defaults < --params file < convenience flags < config params block."""
     if cfg.params is not None:
-        return ConstraintParams.from_json_dict(cfg.params)
+        return cfg.params
     if getattr(args, "params", None):
-        params = ConstraintParams.from_json_dict(_read_json(args.params, "params"))
+        params = _load(args.params, "params", ConstraintParams.from_json_dict)
     else:
         params = default_params()
     if getattr(args, "eps_tol", None) is not None:
@@ -246,9 +229,9 @@ def _effective_params(args: argparse.Namespace, cfg: RunConfig) -> ConstraintPar
     return params
 
 
-def _resolve_bc(value: str | dict) -> BoundaryCondition:
-    """A preset named by --bc, or a custom boundary condition object from topology.bc."""
-    return BoundaryCondition.from_json_dict(value) if isinstance(value, dict) else preset_bc(value)
+def _resolve_bc(value: str | BoundaryCondition) -> BoundaryCondition:
+    """A preset named by --bc, or the custom boundary condition read from topology.bc."""
+    return value if isinstance(value, BoundaryCondition) else preset_bc(value)
 
 
 def _out_path(args: argparse.Namespace) -> str:
@@ -258,21 +241,19 @@ def _out_path(args: argparse.Namespace) -> str:
 
 
 def _fill_isolated(topo: Topology, sol: Solution, params: ConstraintParams) -> Solution:
-    """Qubits outside every coupler get parked at the window floor."""
-    if sol.status not in ("optimal", "feasible"):
-        return sol
-    missing = [q for q in range(topo.n_qubits) if q not in sol.frequencies]
-    if not missing:
-        return sol
-    freqs = dict(sol.frequencies)
-    freqs.update({q: params.f_window[0] for q in missing})
-    return replace(sol, frequencies=freqs)
+    """Qubits outside every coupler of a solved solution get parked at the window floor."""
+    floor = {q: params.f_window[0] for q in range(topo.n_qubits) if q not in sol.frequencies}
+    return replace(sol, frequencies={**sol.frequencies, **floor})
 
 
-def _assignment_for(topo: Topology, sol: Solution, params: ConstraintParams):
-    if sol.status not in ("optimal", "feasible"):
+def _analysis_inputs(args, cfg: RunConfig):
+    """The topology, parameters and solved assignment that yield and threshold price."""
+    topo = _load(args.topology, "topology", Topology.from_json_dict)
+    params = _effective_params(args, cfg)
+    sol = _load(args.solution, "solution", Solution.from_json_dict)
+    if not sol.solved:
         raise ConfigError(f"solution status is {sol.status!r}; nothing to analyze")
-    return _fill_isolated(topo, sol, params).as_assignment()
+    return topo, params, _fill_isolated(topo, sol, params).as_assignment()
 
 
 # -- subcommands --------------------------------------------------------------
@@ -295,7 +276,7 @@ def cmd_topo(args, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
+    topo = _load(args.topology, "topology", Topology.from_json_dict)
     params = _effective_params(args, cfg)
     table = enumerate_records(topo, args.mode, params)
     model = build(topo, table, params, args.mode)
@@ -307,15 +288,9 @@ def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def _solver_config(args, cfg: RunConfig) -> SolverConfig:
-    template = args.cmd or os.environ.get(SOLVER_CMD_ENV, "")
-    base = {
-        "backend": args.backend,
-        "command_template": template,
-        "time_budget_s": parse_budget(args.budget),
-        "seed": args.seed,
-    }
-    base.update(cfg.solver)
-    scfg = SolverConfig.from_json_dict(base)
+    scfg = SolverConfig.from_json_dict({
+        "backend": args.backend, "command_template": args.cmd or os.environ.get(SOLVER_CMD_ENV, ""),
+        "time_budget_s": parse_budget(args.budget), "seed": args.seed, **cfg.solver})
     if scfg.backend == "external" and not scfg.command_template:
         raise ConfigError(
             f"external backend needs a command template: pass --cmd, set "
@@ -325,7 +300,7 @@ def _solver_config(args, cfg: RunConfig) -> SolverConfig:
 
 
 def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
+    topo = _load(args.topology, "topology", Topology.from_json_dict)
     params = _effective_params(args, cfg)
     table = enumerate_records(topo, args.mode, params)
     scfg = _solver_config(args, cfg)
@@ -338,12 +313,13 @@ def cmd_solve(args, cfg: RunConfig, argv: list[str]) -> int:
                  "solver": sol.solver_stats}
     else:
         sol = solve_anneal(table, params, scfg)
-    sol = _fill_isolated(topo, sol, params)
+    if sol.solved:
+        sol = _fill_isolated(topo, sol, params)
     out = _out_path(args)
     _write_json(out, sol.to_json_dict(), argv, extra)
     obj = "none" if sol.objective_value is None else f"{sol.objective_value:.6g}"
     print(f"wrote {out}: status {sol.status}, objective {obj}")
-    if scfg.backend == "external" and sol.status in ("optimal", "feasible"):
+    if scfg.backend == "external" and sol.solved:
         report = verify(sol, table, params, tightened=True)
         if not report.ok:
             return _verdict(report, "tightened")
@@ -362,10 +338,10 @@ def _verdict(report, bounds: str) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
+    topo = _load(args.topology, "topology", Topology.from_json_dict)
     params = _effective_params(args, cfg)
-    sol = _load_solution(args.solution)
-    if sol.status not in ("optimal", "feasible"):
+    sol = _load(args.solution, "solution", Solution.from_json_dict)
+    if not sol.solved:
         raise ConfigError(f"solution status is {sol.status!r}; nothing to verify")
     sol = replace(sol, orientations={**(topo.orientation or {}), **sol.orientations})
     report = verify(sol, enumerate_records(topo, "free", params), params,
@@ -383,9 +359,7 @@ def _yield_csv(assignment, topo: Topology, params: ConstraintParams, args) -> st
 
 
 def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
-    params = _effective_params(args, cfg)
-    assignment = _assignment_for(topo, _load_solution(args.solution), params)
+    topo, params, assignment = _analysis_inputs(args, cfg)
     if args.sigma is None:
         raise ConfigError("no dispersion levels: pass --sigma or set yield.sigma")
     text = _yield_csv(assignment, topo, params, args)
@@ -399,9 +373,7 @@ def cmd_yield(args, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_threshold(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load_topology(args.topology)
-    params = _effective_params(args, cfg)
-    assignment = _assignment_for(topo, _load_solution(args.solution), params)
+    topo, params, assignment = _analysis_inputs(args, cfg)
     if args.target is None:
         raise ConfigError("no target yield: pass --target or set yield.target")
     bracket = parse_pair(args.bracket, "bracket")
@@ -422,11 +394,11 @@ def cmd_threshold(args, cfg: RunConfig, argv: list[str]) -> int:
 
 
 def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
-    unit = _load_topology(args.unit)
+    unit = _load(args.unit, "topology", Topology.from_json_dict)
     if unit.wrap_tags:
         raise ConfigError("pass the unwrapped unit topology; tiling applies the wrap itself")
     params = _effective_params(args, cfg)
-    sol = _load_solution(args.solution)
+    sol = _load(args.solution, "solution", Solution.from_json_dict)
     bc = _resolve_bc(args.bc)
     fill = args.fill_orientation
 
@@ -476,7 +448,7 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_analysis_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
     p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
 
 
@@ -484,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="freqalloc",
         description="Collision-aware frequency assignment for qubit lattices",
+        exit_on_error=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -560,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assemble)
 
     for sp in sub.choices.values():
+        sp.exit_on_error = False  # main reports a flag that fails its type in one line
         sp.add_argument("--config", help="JSON config overriding these flags")
         sp.set_defaults(flag_actions={action.dest: action for action in sp._actions})
     return ap
@@ -568,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = RunConfig.load(args.config)
         cfg.fold_into(args)
         return args.func(args, cfg, argv)
@@ -579,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverFailure, SolutionParseError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, BracketError, ValueError, OSError) as exc:
+    except (ConfigError, BracketError, ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

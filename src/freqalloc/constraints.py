@@ -35,11 +35,11 @@ annealer read its columns.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .jsonio import array, bit, boolean, fields, mapping, number
 from .topology import Edge, Topology, edge_key, parse_edge_key
 
 # Families carrying a slack lower bound, in canonical emission order.
@@ -68,15 +68,6 @@ LINEAR_FORMS: dict[str, tuple[tuple[tuple[int, float], ...], float]] = {
     "S2": (((1, 1.0), (2, -1.0)), -1.0),
     "T1": (((1, 1.0), (2, 1.0), (0, -2.0)), -1.0),
 }
-
-
-def json_number(value, what: str) -> float:
-    """A finite JSON number (not a bool) as a float; anything else is a ValueError naming what."""
-    # the comparison is exact for integers, so one beyond the float range fails it too
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -168,33 +159,13 @@ class ConstraintParams:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "ConstraintParams":
-        if not isinstance(d, dict):
-            raise ValueError("constraint parameters must be a JSON object")
-        known = {
-            "base_bounds", "alpha", "eps_tol", "delta_diff",
-            "f_window", "c1_enabled", "diff_separation",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown constraint parameter keys: {sorted(unknown)}")
-        window = d.get("f_window", [0, 0])
-        if not (all(isinstance(d.get(key, {}), dict) for key in ("base_bounds", "eps_tol"))
-                and isinstance(window, list) and len(window) == 2):
-            raise ValueError("base_bounds and eps_tol must be objects, f_window a [lo, hi] list")
-        for key in ("c1_enabled", "diff_separation"):
-            if key in d and not isinstance(d[key], bool):
-                raise ValueError(f"{key} must be true or false, got {d[key]!r}")
-        kwargs: dict = {key: d[key] for key in ("c1_enabled", "diff_separation") if key in d}
-        for key in ("base_bounds", "eps_tol"):
-            if key in d:
-                kwargs[key] = {str(k): json_number(v, f"{key}[{k!r}]") for k, v in d[key].items()}
-        for key in ("alpha", "delta_diff"):
-            if key in d:
-                kwargs[key] = json_number(d[key], key)
-        if "f_window" in d:
-            kwargs["f_window"] = tuple(json_number(v, "f_window") for v in window)
-        return ConstraintParams(**kwargs)
+    def from_json_dict(d: dict, where: str = "params") -> "ConstraintParams":
+        return ConstraintParams(**fields(d, where, _PARAMS_FIELDS))
+
+
+_PARAMS_FIELDS = {"base_bounds": mapping(number), "alpha": number, "eps_tol": mapping(number),
+                  "delta_diff": number, "f_window": array(number, 2), "c1_enabled": boolean,
+                  "diff_separation": boolean}
 
 
 def default_params() -> ConstraintParams:
@@ -221,16 +192,21 @@ class FrequencyAssignment:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "FrequencyAssignment":
-        """Raises ValueError for a frequency that is not finite."""
-        freqs = {int(q): float(f) for q, f in d["frequencies_mhz"].items()}
-        bad = sorted(q for q, f in freqs.items() if not math.isfinite(f))
-        if bad:
-            raise ValueError(f"non-finite frequencies for qubits {bad[:5]}")
+    def from_json_dict(d: dict, where: str = "assignment") -> "FrequencyAssignment":
+        return FrequencyAssignment.from_fields(
+            fields(d, where, ASSIGNMENT_FIELDS, required=("frequencies_mhz",)))
+
+    @staticmethod
+    def from_fields(f: dict) -> "FrequencyAssignment":
+        """The assignment of a document read with ASSIGNMENT_FIELDS."""
         return FrequencyAssignment(
-            frequencies=freqs,
-            orientations={parse_edge_key(k): int(v) for k, v in d.get("orientations", {}).items()},
+            frequencies={int(q): x for q, x in f.get("frequencies_mhz", {}).items()},
+            orientations={parse_edge_key(k): bit for k, bit in f.get("orientations", {}).items()},
         )
+
+
+# the assignment part of assignment and solution files
+ASSIGNMENT_FIELDS = {"frequencies_mhz": mapping(number), "orientations": mapping(bit)}
 
 
 # -- enumeration -------------------------------------------------------------

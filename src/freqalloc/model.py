@@ -36,12 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import (
+    ASSIGNMENT_FIELDS,
     BOUNDED_FAMILIES,
     TABLE_FAMILIES,
     ConstraintParams,
     FrequencyAssignment,
     InstanceTable,
 )
+from .jsonio import fields, mapping, number, text
 from .topology import Edge, Topology
 
 
@@ -97,17 +99,22 @@ class Solution:
             "objective_mhz": self.objective_value,
         }
 
+    @property
+    def solved(self) -> bool:
+        """Whether the status carries an assignment (optimal or feasible)."""
+        return self.status in ("optimal", "feasible")
+
     @staticmethod
-    def from_json_dict(d: dict) -> "Solution":
-        # the assignment part is an assignment file; unsolved statuses may omit it
-        assignment = FrequencyAssignment.from_json_dict({"frequencies_mhz": {}, **d})
-        return Solution(
-            status=str(d["status"]),
-            frequencies=assignment.frequencies,
-            orientations=assignment.orientations,
-            slacks={str(k): float(v) for k, v in d.get("slacks_mhz", {}).items()},
-            objective_value=None if d.get("objective_mhz") is None else float(d["objective_mhz"]),
-        )
+    def from_json_dict(d: dict, where: str = "solution") -> "Solution":
+        # unsolved statuses may omit the assignment part
+        f = fields(d, where, _SOLUTION_FIELDS, required=("status",))
+        a = FrequencyAssignment.from_fields(f)
+        return Solution(f["status"], a.frequencies, a.orientations, f.get("slacks_mhz", {}),
+                        f.get("objective_mhz"))
+
+
+_SOLUTION_FIELDS = {**ASSIGNMENT_FIELDS, "status": text, "slacks_mhz": mapping(number),
+                    "objective_mhz": lambda v, where: None if v is None else number(v, where)}
 
 
 @dataclass

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from .constraints import (
     InstanceTable,
     TABLE_FAMILIES,
     ViolationReport,
-    json_number,
     price,
 )
+from .jsonio import fields, integer, number, text
 from .model import ModelIR, Solution, export_lp, import_solution
 from .topology import Edge
 
@@ -69,14 +70,10 @@ class SolverConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if not self.time_budget > 0:
             raise ValueError("time_budget must be > 0")
-        if not isinstance(self.anneal, dict):
-            raise ValueError("anneal settings must be an object")
-        merged = dict(DEFAULT_ANNEAL)
-        for key, val in self.anneal.items():
-            if key not in DEFAULT_ANNEAL or type(val) not in (int, float):
-                raise ValueError(f"anneal setting {key!r} is unknown or not a number")
-            merged[key] = val
-        self.anneal = merged
+        unknown = sorted(set(self.anneal) - set(DEFAULT_ANNEAL))
+        if unknown:
+            raise ValueError(f"unknown anneal settings {unknown}")
+        self.anneal = {**DEFAULT_ANNEAL, **self.anneal}
         if not 0.0 < self.anneal["cooling_rate"] < 1.0:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.anneal["init_temp"] <= 0:
@@ -97,23 +94,17 @@ class SolverConfig:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> "SolverConfig":
-        known = {"backend", "command_template", "time_budget_s", "seed", "anneal"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown solver config keys {sorted(unknown)}")
-        seed, template = d.get("seed", 0), d.get("command_template", "")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if not isinstance(template, str):
-            raise ValueError(f"command_template must be a string, got {template!r}")
-        return SolverConfig(
-            backend=d.get("backend", "external"),
-            command_template=template,
-            time_budget=json_number(d.get("time_budget_s", 60.0), "time_budget_s"),
-            seed=seed,
-            anneal=d.get("anneal", {}),
-        )
+    def from_json_dict(d: dict, where: str = "solver") -> "SolverConfig":
+        f = fields(d, where, _SOLVER_FIELDS)
+        if "time_budget_s" in f:
+            f["time_budget"] = f.pop("time_budget_s")
+        return SolverConfig(**f)
+
+
+_ANNEAL_FIELDS = {"init_temp": number, "cooling_rate": number, "moves_per_temp": integer,
+                  "freq_step_mhz": number}
+_SOLVER_FIELDS = {"backend": text, "command_template": text, "time_budget_s": number,
+                  "seed": integer, "anneal": partial(fields, spec=_ANNEAL_FIELDS)}
 
 
 def solve_external(model: ModelIR, cfg: SolverConfig) -> Solution:

@@ -15,7 +15,9 @@ edges share the one physical coupler direction).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .jsonio import array, bit, boolean, fields, integer, mapping, obj, text
 
 Edge = tuple[int, int]
 
@@ -65,29 +67,18 @@ class BoundaryCondition:
             raise ValueError("y-axis flip is not supported in any boundary condition")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "x": {"shift": self.x.shift, "flip": self.x.flip, "enabled": self.x.enabled},
-            "y": {"shift": self.y.shift, "flip": self.y.flip, "enabled": self.y.enabled},
-        }
+        return {"name": self.name, "x": asdict(self.x), "y": asdict(self.y)}
 
     @staticmethod
-    def from_json_dict(d: dict) -> "BoundaryCondition":
-        """Read a boundary condition object; a value of the wrong JSON type is a ValueError."""
-        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
-            raise ValueError(f"boundary condition must be an object with a string name, got {d!r}")
+    def from_json_dict(d: dict, where: str = "bc") -> "BoundaryCondition":
+        return BoundaryCondition(**fields(d, where, _BC_FIELDS, required=("name",)))
 
-        def axis(a) -> AxisWrap:
-            if not isinstance(a, dict):
-                raise ValueError(f"boundary condition axis must be an object, got {a!r}")
-            shift, flip, enabled = a.get("shift", 0), a.get("flip", False), a.get("enabled", True)
-            if isinstance(shift, bool) or not isinstance(shift, int):
-                raise ValueError(f"axis shift must be an integer, got {shift!r}")
-            if not (isinstance(flip, bool) and isinstance(enabled, bool)):
-                raise ValueError(f"axis flip and enabled must be true or false, got {a!r}")
-            return AxisWrap(shift=shift, flip=flip, enabled=enabled)
 
-        return BoundaryCondition(name=d["name"], x=axis(d.get("x", {})), y=axis(d.get("y", {})))
+def _axis(value, where: str) -> AxisWrap:
+    return AxisWrap(**fields(value, where, {"shift": integer, "flip": boolean, "enabled": boolean}))
+
+
+_BC_FIELDS = {"name": text, "x": _axis, "y": _axis}
 
 
 @dataclass
@@ -160,25 +151,21 @@ class Topology:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
-    def from_json_dict(d: dict) -> "Topology":
-        if not isinstance(d, dict) or not all(isinstance(d.get(key), (dict, type(None)))
-                                              for key in ("orientation", "wrap_tags")):
-            raise ValueError("a topology, its orientation and its wrap_tags must be objects")
-        orientation = None
-        if "orientation" in d and d["orientation"] is not None:
-            orientation = {parse_edge_key(k): int(v) for k, v in d["orientation"].items()}
-        wrap_tags = {int(k): v for k, v in (d.get("wrap_tags") or {}).items()}
-        return Topology(
-            n_qubits=int(d["n_qubits"]),
-            edges=[(int(a), int(b)) for a, b in d["edges"]],
-            geometry=d.get("geometry", {}),
-            orientation=orientation,
-            wrap_tags=wrap_tags,
-        )
+    def from_json_dict(d: dict, where: str = "topology") -> "Topology":
+        f = fields(d, where, _TOPOLOGY_FIELDS, required=("n_qubits", "edges"))
+        orientation = f.get("orientation")
+        if orientation is not None:
+            orientation = {parse_edge_key(k): b for k, b in orientation.items()}
+        return Topology(f["n_qubits"], f["edges"], f.get("geometry", {}), orientation,
+                        {int(k): tag for k, tag in f.get("wrap_tags", {}).items()})
 
     @staticmethod
     def from_json(text: str) -> "Topology":
         return Topology.from_json_dict(json.loads(text))
+
+
+_TOPOLOGY_FIELDS = {"n_qubits": integer, "edges": array(array(integer, 2)), "geometry": obj,
+                    "orientation": mapping(bit), "wrap_tags": mapping(obj)}
 
 
 # -- generators ------------------------------------------------------------

@@ -15,7 +15,9 @@ trial cap), two topologies and one threshold CSV whose options all come from
 chip, report and yield files of three tilings, and the chip and report of a
 fourth whose seams collide.  The .meta.json sidecars, which
 hold wall-clock data, are deleted; transcript.txt keeps each command's exit
-code, stdout and stderr.
+code, stdout and stderr.  A last step reads every topology, solution, chip,
+params and config file back through its library reader and writes one
+readback.txt line per file: "ok", or the error the reader raised.
 Outputs from two trees then compare with
 
     diff -r OLD_OUTDIR NEW_OUTDIR
@@ -32,11 +34,11 @@ import os
 import pathlib
 import sys
 
-from freqalloc.assembly import preset_bc, tile
-from freqalloc.cli import main
-from freqalloc.constraints import default_params
+from freqalloc.assembly import ChipAssembly, preset_bc, tile
+from freqalloc.cli import RunConfig, main
+from freqalloc.constraints import ConstraintParams, default_params
 from freqalloc.model import Solution
-from freqalloc.topology import square_grid, uniform_orientation, wrap
+from freqalloc.topology import Topology, square_grid, uniform_orientation, wrap
 
 UNIT_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "units"
 
@@ -190,6 +192,39 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def _document(reader):
+    """A path reader that parses the file's JSON and hands it to reader."""
+    return lambda path: reader(json.loads(pathlib.Path(path).read_text()))
+
+
+def readback_files() -> list[tuple[str, object]]:
+    """(file, reader) for every JSON input and artifact the library reads back."""
+    topologies = ["g2x2", "p2", "p3", "g3x3_pbc1", "g4x4_mbc2", "g4x4_pbc1", "u4x4", "hex2",
+                  "p5", "g2x3", "g3x3", "g4x4_pbc2_config", "g3x4_custom_config", "g2x2_fixed",
+                  "g3x3_pbc1_fixed", "w3x3_pbc1_unit", "chip4x4_topo"]
+    solutions = ["pbc1_4x4", "chip4x4", *(name for name, *_ in ANNEALS)]
+    chips = ["chip4x4_jobs2", "chip4x4", "chip8x8", "chip4x4_pbc2"]
+    return ([(f"{name}.json", _document(Topology.from_json_dict)) for name in topologies]
+            + [(f"{name}.sol.json", _document(Solution.from_json_dict)) for name in solutions]
+            + [(f"{name}.chip.json", _document(ChipAssembly.from_json_dict)) for name in chips]
+            + [(f"{name}.params.json", _document(ConstraintParams.from_json_dict))
+               for name in ("offgrid", "c1off", "c1tight")]
+            + [(f"{name}.config.json", RunConfig.load)
+               for name in ("quick", "p3step", "g2x2step", "g4x4_pbc2", "g3x4_custom",
+                            "threshold")])
+
+
+def readback() -> str:
+    lines = []
+    for name, reader in readback_files():
+        try:
+            reader(name)
+            lines.append(f"{name}: ok")
+        except Exception as exc:  # the line records whatever the reader raised
+            lines.append(f"{name}: {type(exc).__name__}: {exc}")
+    return "\n".join(lines) + "\n"
+
+
 def run(outdir: pathlib.Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
@@ -206,6 +241,7 @@ def run(outdir: pathlib.Path) -> None:
         for meta in pathlib.Path(".").glob("*.meta.json"):
             meta.unlink()
         pathlib.Path("transcript.txt").write_text("\n".join(transcript))
+        pathlib.Path("readback.txt").write_text(readback())
     finally:
         os.chdir(cwd)
 

@@ -408,39 +408,84 @@ def test_null_frequencies_exit_2(tmp_path, grid22):
     assert main(["verify", "--topology", str(grid22), "--solution", str(sol)]) == 2
 
 
-# (topology file, --params file, --config file, extra flags); None keeps the valid default
+# the valid solution of the 1x2 path that two_qubit_inputs writes by default
+SOLUTION_DOC = {"status": "feasible", "frequencies_mhz": {"0": 5000.0, "1": 5100.0},
+                "orientations": {"0-1": 0}}
+
+# (topology file, solution file, --params file, --config file, extra flags);
+# None keeps the valid default
 MALFORMED_INPUTS = {
-    "topology_root_list": ([], None, None, []),
+    "topology_root_list": ([], None, None, None, []),
     "topology_wrap_tags_list":
-        ({"n_qubits": 2, "edges": [[0, 1]], "wrap_tags": []}, None, None, []),
-    "params_root_list": (None, [], None, []),
-    "config_params_list": (None, None, {"params": []}, ["--eps-tol", "5"]),
-    "params_base_bounds_list": (None, {"base_bounds": [1, 2]}, None, []),
-    "params_eps_tol_number": (None, {"eps_tol": 5}, None, []),
-    "params_f_window_number": (None, {"f_window": 5}, None, []),
-    "config_solver_list": (None, None, {"solver": []}, []),
-    "config_anneal_string": (None, None, {"solver": {"anneal": {"cooling_rate": "x"}}}, []),
-    "params_alpha_list": (None, {"alpha": [1]}, None, []),
-    "params_bound_string": (None, {"base_bounds": {"A1": "17"}}, None, []),
-    "params_eps_tol_bool": (None, {"eps_tol": {"A1": True}}, None, []),
-    "params_f_window_strings": (None, {"f_window": ["5000", "5500"]}, None, []),
-    "params_c1_enabled_string": (None, {"c1_enabled": "false"}, None, []),
-    "params_diff_separation_number": (None, {"diff_separation": 0}, None, []),
-    "config_params_delta_diff_null": (None, None, {"params": {"delta_diff": None}}, []),
-    "config_seed_list": (None, None, {"solver": {"seed": []}}, []),
-    "config_seed_fraction": (None, None, {"solver": {"seed": 1.5}}, []),
-    "config_time_budget_string": (None, None, {"solver": {"time_budget_s": "60"}}, []),
-    "config_time_budget_infinite": (None, None, {"solver": {"time_budget_s": float("inf")}}, []),
-    "config_command_template_number": (None, None, {"solver": {"command_template": 5}}, []),
-    "jobs_zero": (None, None, None, ["--jobs", "0"]),
-    "jobs_negative": (None, None, None, ["--jobs", "-3"]),
-    "config_trials_fraction": (None, None, {"yield": {"trials": 1.5}}, []),
-    "config_trials_null": (None, None, {"yield": {"trials": None}}, []),
-    "config_sigma_bool_list": (None, None, {"yield": {"sigma": [True]}}, []),
-    "config_yield_seed_bool": (None, None, {"yield": {"seed": True}}, []),
+        ({"n_qubits": 2, "edges": [[0, 1]], "wrap_tags": []}, None, None, None, []),
+    "params_root_list": (None, None, [], None, []),
+    "config_params_list": (None, None, None, {"params": []}, ["--eps-tol", "5"]),
+    "params_base_bounds_list": (None, None, {"base_bounds": [1, 2]}, None, []),
+    "params_eps_tol_number": (None, None, {"eps_tol": 5}, None, []),
+    "params_f_window_number": (None, None, {"f_window": 5}, None, []),
+    "config_solver_list": (None, None, None, {"solver": []}, []),
+    "config_anneal_string": (None, None, None, {"solver": {"anneal": {"cooling_rate": "x"}}}, []),
+    "params_alpha_list": (None, None, {"alpha": [1]}, None, []),
+    "params_bound_string": (None, None, {"base_bounds": {"A1": "17"}}, None, []),
+    "params_eps_tol_bool": (None, None, {"eps_tol": {"A1": True}}, None, []),
+    "params_f_window_strings": (None, None, {"f_window": ["5000", "5500"]}, None, []),
+    "params_c1_enabled_string": (None, None, {"c1_enabled": "false"}, None, []),
+    "params_diff_separation_number": (None, None, {"diff_separation": 0}, None, []),
+    "config_params_delta_diff_null": (None, None, None, {"params": {"delta_diff": None}}, []),
+    "config_seed_list": (None, None, None, {"solver": {"seed": []}}, []),
+    "config_seed_fraction": (None, None, None, {"solver": {"seed": 1.5}}, []),
+    "config_time_budget_string": (None, None, None, {"solver": {"time_budget_s": "60"}}, []),
+    "config_time_budget_infinite":
+        (None, None, None, {"solver": {"time_budget_s": float("inf")}}, []),
+    "config_command_template_number": (None, None, None, {"solver": {"command_template": 5}}, []),
+    "jobs_zero": (None, None, None, None, ["--jobs", "0"]),
+    "jobs_negative": (None, None, None, None, ["--jobs", "-3"]),
+    "config_trials_fraction": (None, None, None, {"yield": {"trials": 1.5}}, []),
+    "config_trials_null": (None, None, None, {"yield": {"trials": None}}, []),
+    "config_sigma_bool_list": (None, None, None, {"yield": {"sigma": [True]}}, []),
+    "config_yield_seed_bool": (None, None, None, {"yield": {"seed": True}}, []),
     "config_moves_per_temp_fraction":
-        (None, None, {"solver": {"backend": "anneal",
-                                 "anneal": {"moves_per_temp": 1.5, "cooling_rate": 0.5}}}, []),
+        (None, None, None, {"solver": {"backend": "anneal",
+                                       "anneal": {"moves_per_temp": 1.5, "cooling_rate": 0.5}}}, []),
+    "topology_n_qubits_fraction": ({"n_qubits": 2.7, "edges": [[0, 1]]}, None, None, None, []),
+    "topology_edge_fraction": ({"n_qubits": 2, "edges": [[0, 1.9]]}, None, None, None, []),
+    "topology_unknown_key":
+        ({"n_qubits": 2, "edges": [[0, 1]], "couplers": [[0, 1]]}, None, None, None, []),
+    "topology_orientation_null":
+        ({"n_qubits": 2, "edges": [[0, 1]], "orientation": None}, None, None, None, []),
+    "solution_frequency_bool": (None, {**SOLUTION_DOC, "frequencies_mhz": {"0": True, "1": 5100.0}},
+                                None, None, []),
+    "solution_frequency_string":
+        (None, {**SOLUTION_DOC, "frequencies_mhz": {"0": "5300", "1": 5100.0}}, None, None, []),
+    "solution_orientation_fraction":
+        (None, {**SOLUTION_DOC, "orientations": {"0-1": 0.6}}, None, None, []),
+    "solution_orientation_two": (None, {**SOLUTION_DOC, "orientations": {"0-1": 2}}, None, None, []),
+    # a reader that skipped the misspelt key would price the coupler with the topology's bit
+    "solution_orientation_key_misspelt":
+        ({"n_qubits": 2, "edges": [[0, 1]], "orientation": {"0-1": 0}},
+         {"status": "feasible", "frequencies_mhz": {"0": 5000.0, "1": 5100.0},
+          "orientation": {"0-1": 1}}, None, None, []),
+    "seed_negative": (None, None, None, None, ["--seed", "-3"]),
+    "seed_beyond_philox_key": (None, None, None, None, ["--seed", str(2**128)]),
+    "config_yield_seed_negative": (None, None, None, {"yield": {"seed": -3}}, []),
+    "config_params_null": (None, None, None, {"params": None}, []),
+}
+
+# the location that the error line of a case must name
+ERROR_NAMES = {
+    "topology_n_qubits_fraction": "topology.n_qubits",
+    "topology_edge_fraction": "topology.edges[0][1]",
+    "topology_unknown_key": "topology.couplers",
+    "topology_orientation_null": "topology.orientation",
+    "solution_frequency_bool": "solution.frequencies_mhz['0']",
+    "solution_frequency_string": "solution.frequencies_mhz['0']",
+    "solution_orientation_fraction": "solution.orientations['0-1']",
+    "solution_orientation_two": "solution.orientations['0-1']",
+    "solution_orientation_key_misspelt": "solution.orientation",
+    "seed_negative": "--seed",
+    "seed_beyond_philox_key": "--seed",
+    "config_yield_seed_negative": "config.yield.seed",
+    "config_params_null": "config.params",
 }
 
 # (command, --config document) for the commands the table above does not run
@@ -451,38 +496,40 @@ MALFORMED_CONFIGS = {
     "topo_bc_shift_fraction": ("topo", {"topology": {"bc": {"name": "c", "x": {"shift": 1.7}}}}),
     "topo_bc_without_name": ("topo", {"topology": {"bc": {"x": {"shift": 1}}}}),
     "topo_bc_axis_list": ("topo", {"topology": {"bc": {"name": "c", "x": []}}}),
+    "topo_bc_axis_unknown_key": ("topo", {"topology": {"bc": {"name": "c", "x": {"flipp": True}}}}),
+    "topo_bc_unknown_key": ("topo", {"topology": {"bc": {"name": "c", "z": {"shift": 1}}}}),
     "threshold_bracket_one_value": ("threshold", {"yield": {"bracket": [1]}}),
     "threshold_tol_null": ("threshold", {"yield": {"tol_mhz": None}}),
 }
 
 
-def two_qubit_inputs(tmp_path, topo_doc=None) -> list[str]:
-    """--topology and --solution flags for a feasible 1x2 path (or topo_doc) in tmp_path."""
+def two_qubit_inputs(tmp_path, topo_doc=None, sol_doc=None) -> list[str]:
+    """--topology and --solution flags for the 1x2 path (or topo_doc, sol_doc) in tmp_path."""
     topo = tmp_path / "t.json"
     topo.write_text(json.dumps(topo_doc if topo_doc is not None
                                else {"n_qubits": 2, "edges": [[0, 1]]}))
     sol = tmp_path / "s.json"
-    sol.write_text(json.dumps({"status": "feasible", "frequencies_mhz": {"0": 5000.0, "1": 5100.0},
-                               "orientations": {"0-1": 0}}))
+    sol.write_text(json.dumps(sol_doc if sol_doc is not None else SOLUTION_DOC))
     return ["--topology", str(topo), "--solution", str(sol)]
 
 
-def assert_one_error_line(capsys):
+def assert_one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_exit_2(tmp_path, capsys, case):
-    topo_doc, params_doc, config_doc, flags = MALFORMED_INPUTS[case]
-    argv = ["yield", *two_qubit_inputs(tmp_path, topo_doc), "--sigma", "1",
+    topo_doc, sol_doc, params_doc, config_doc, flags = MALFORMED_INPUTS[case]
+    argv = ["yield", *two_qubit_inputs(tmp_path, topo_doc, sol_doc), "--sigma", "1",
             "--trials", "10", *flags]
     for flag, doc in (("--params", params_doc), ("--config", config_doc)):
         if doc is not None:
             (tmp_path / "in.json").write_text(json.dumps(doc))
             argv += [flag, str(tmp_path / "in.json")]
     assert main(argv) == 2
-    assert_one_error_line(capsys)
+    assert ERROR_NAMES.get(case, "") in assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
@@ -681,8 +728,8 @@ def test_loading_inputs_closes_files(tmp_path, grid22):
     config_path.write_text(json.dumps({"yield": {"trials": 10}}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cli._load_topology(str(grid22))
-        cli._load_solution(str(sol_path))
+        cli._load(str(grid22), "topology", Topology.from_json_dict)
+        cli._load(str(sol_path), "solution", Solution.from_json_dict)
         cli.RunConfig.load(str(config_path))
         cli._effective_params(argparse.Namespace(params=str(params_path)), cli.RunConfig())
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
