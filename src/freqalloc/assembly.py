@@ -24,7 +24,7 @@ from .constraints import (
     check,
     enumerate_records,
 )
-from .jsonio import array, fields, integer, mapping
+from .jsonio import array, fields, index_key, integer, mapping
 from .model import Solution
 from .solve import verify
 from .topology import AxisWrap, BoundaryCondition, Edge, Topology, square_grid, wrap
@@ -97,14 +97,13 @@ class ChipAssembly:
     def from_json_dict(d: dict, where: str = "chip") -> "ChipAssembly":
         f = fields(d, where, _CHIP_FIELDS, required=tuple(_CHIP_FIELDS))
         return ChipAssembly(f["topology"], f["assignment"], tuple(f["unit_geometry"]),
-                            tuple(f["reps"]), f["bc"], f["seam_edges"],
-                            {int(k): v for k, v in f["edge_image"].items()})
+                            tuple(f["reps"]), f["bc"], f["seam_edges"], f["edge_image"])
 
 
 _CHIP_FIELDS = {"topology": Topology.from_json_dict, "unit_geometry": array(integer, 2),
                 "assignment": FrequencyAssignment.from_json_dict, "reps": array(integer, 2),
                 "bc": BoundaryCondition.from_json_dict, "seam_edges": array(integer),
-                "edge_image": mapping(integer)}
+                "edge_image": mapping(integer, index_key)}
 
 
 def _validate_tiling_args(unit: Topology, bc: BoundaryCondition, nx: int, ny: int) -> tuple[int, int]:

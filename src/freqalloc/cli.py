@@ -42,7 +42,7 @@ from .constraints import (
 from .jsonio import fields
 from .model import Solution, SolutionParseError, build, export_lp
 from .solve import SolverConfig, SolverFailure, solve_anneal, solve_external, verify
-from .topology import BoundaryCondition, Topology, hex_grid, hex_rings, square_grid, wrap
+from .topology import BoundaryCondition, Topology, edge_key, hex_grid, hex_rings, square_grid, wrap
 from .yield_mc import (
     CSV_HEADER,
     BracketError,
@@ -61,8 +61,8 @@ SOLVER_CMD_ENV = "FREQALLOC_SOLVER_CMD"
 THRESHOLD_CSV_HEADER = "target,sigma_star,bracket_lo,bracket_hi,trials,seed"
 
 
-class ConfigError(ValueError):
-    """A config file or flag combination that fails schema validation."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A config file, flag value or flag combination that fails validation."""
 
 
 # -- run configuration -------------------------------------------------------
@@ -225,7 +225,7 @@ def _effective_params(args: argparse.Namespace, cfg: RunConfig) -> ConstraintPar
     if getattr(args, "diff", None) is not None:
         params = replace(params, delta_diff=args.diff)
     if getattr(args, "window", None) is not None:
-        params = replace(params, f_window=parse_pair(args.window, "window"))
+        params = replace(params, f_window=args.window)
     return params
 
 
@@ -246,13 +246,29 @@ def _fill_isolated(topo: Topology, sol: Solution, params: ConstraintParams) -> S
     return replace(sol, frequencies={**sol.frequencies, **floor})
 
 
-def _analysis_inputs(args, cfg: RunConfig):
-    """The topology, parameters and solved assignment that yield and threshold price."""
+def _solved_inputs(args, cfg: RunConfig, purpose: str):
+    """The topology, parameters and solved solution that verify, yield and threshold read.
+
+    A frequency of a qubit, or an orientation of a pair, that the topology lacks is a ConfigError.
+    """
     topo = _load(args.topology, "topology", Topology.from_json_dict)
     params = _effective_params(args, cfg)
     sol = _load(args.solution, "solution", Solution.from_json_dict)
     if not sol.solved:
-        raise ConfigError(f"solution status is {sol.status!r}; nothing to analyze")
+        raise ConfigError(f"solution status is {sol.status!r}; nothing to {purpose}")
+    pairs = topo.edge_pairs()
+    foreign = [f'frequencies_mhz key "{q}" is not a qubit' for q in sol.frequencies
+               if q >= topo.n_qubits]
+    foreign += [f'orientations key "{edge_key(*e)}" is not a coupler' for e in sol.orientations
+                if e not in pairs]
+    if foreign:
+        raise ConfigError(f"solution.{foreign[0]} of the topology")
+    return topo, params, sol
+
+
+def _analysis_inputs(args, cfg: RunConfig):
+    """The topology, parameters and solved assignment that yield and threshold price."""
+    topo, params, sol = _solved_inputs(args, cfg, "analyze")
     return topo, params, _fill_isolated(topo, sol, params).as_assignment()
 
 
@@ -290,7 +306,7 @@ def cmd_build(args, cfg: RunConfig, argv: list[str]) -> int:
 def _solver_config(args, cfg: RunConfig) -> SolverConfig:
     scfg = SolverConfig.from_json_dict({
         "backend": args.backend, "command_template": args.cmd or os.environ.get(SOLVER_CMD_ENV, ""),
-        "time_budget_s": parse_budget(args.budget), "seed": args.seed, **cfg.solver})
+        "time_budget_s": args.budget, "seed": args.seed, **cfg.solver})
     if scfg.backend == "external" and not scfg.command_template:
         raise ConfigError(
             f"external backend needs a command template: pass --cmd, set "
@@ -338,11 +354,7 @@ def _verdict(report, bounds: str) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
-    topo = _load(args.topology, "topology", Topology.from_json_dict)
-    params = _effective_params(args, cfg)
-    sol = _load(args.solution, "solution", Solution.from_json_dict)
-    if not sol.solved:
-        raise ConfigError(f"solution status is {sol.status!r}; nothing to verify")
+    topo, params, sol = _solved_inputs(args, cfg, "verify")
     sol = replace(sol, orientations={**(topo.orientation or {}), **sol.orientations})
     report = verify(sol, enumerate_records(topo, "free", params), params,
                     tightened=(args.bounds == "tightened"))
@@ -353,7 +365,7 @@ def cmd_verify(args, cfg: RunConfig, argv: list[str]) -> int:
 
 def _yield_csv(assignment, topo: Topology, params: ConstraintParams, args) -> str:
     """The yield CSV, one row per dispersion level of --sigma."""
-    curve = yield_curve(assignment, topo, params, parse_sigmas(args.sigma),
+    curve = yield_curve(assignment, topo, params, args.sigma,
                         trials=args.trials, seed=args.seed, n_jobs=args.jobs)
     return "\n".join([CSV_HEADER, *map(csv_row, curve)]) + "\n"
 
@@ -376,14 +388,13 @@ def cmd_threshold(args, cfg: RunConfig, argv: list[str]) -> int:
     topo, params, assignment = _analysis_inputs(args, cfg)
     if args.target is None:
         raise ConfigError("no target yield: pass --target or set yield.target")
-    bracket = parse_pair(args.bracket, "bracket")
     sigma_star = threshold_dispersion(
         assignment, topo, params, target_yield=args.target, trials=args.trials,
-        sigma_bracket=bracket, tol_mhz=args.tol, seed=args.seed,
+        sigma_bracket=args.bracket, tol_mhz=args.tol, seed=args.seed,
         max_trials=args.max_trials, n_jobs=args.jobs,
     )
     row = "%.8g,%.8g,%.6g,%.6g,%d,%d" % (
-        args.target, sigma_star, *bracket, args.trials, args.seed)
+        args.target, sigma_star, *args.bracket, args.trials, args.seed)
     text = THRESHOLD_CSV_HEADER + "\n" + row + "\n"
     if args.out:
         _write_text(args.out, text, argv)
@@ -411,6 +422,9 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
                    require_feasible=False, fill_orientation=fill)
     report = chip_check(asm, params)
     on_seams = seam_violations(asm, report)
+    # the yield inputs are checked before any artifact is written
+    csv = None if args.sigma is None else _yield_csv(
+        asm.chip_assignment, asm.chip_topology, params, args)
 
     prefix = args.out
     _write_json(prefix + ".chip.json", asm.to_json_dict(), argv)
@@ -421,9 +435,8 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
         "all_violations_on_seams": len(on_seams) == len(report.violations),
     }, argv)
 
-    if args.sigma is not None:
-        text = _yield_csv(asm.chip_assignment, asm.chip_topology, params, args)
-        _write_text(prefix + ".yield.csv", text, argv)
+    if csv is not None:
+        _write_text(prefix + ".yield.csv", csv, argv)
 
     big_rows = asm.unit_geometry[0] * asm.reps[1]
     big_cols = asm.unit_geometry[1] * asm.reps[0]
@@ -443,7 +456,8 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
                    help="uniform constraint tightening in MHz")
     p.add_argument("--diff", type=float,
                    help="edgewise detuning-gap separation delta_diff in MHz")
-    p.add_argument("--window", help="frequency window LO:HI in MHz")
+    p.add_argument("--window", type=partial(parse_pair, what="window"),
+                   help="frequency window LO:HI in MHz")
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
@@ -484,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(p)
     p.add_argument("--backend", choices=("external", "anneal"), default="external")
     p.add_argument("--cmd", help="external wrapper template with {lp} {out} [{budget}]")
-    p.add_argument("--budget", default="60s", help="time budget, e.g. 30s / 5m / 1h")
+    p.add_argument("--budget", type=parse_budget, default="60s",
+                   help="time budget, e.g. 30s / 5m / 1h")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
@@ -501,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p.add_argument("--solution", required=True)
     _add_params_flags(p)
-    p.add_argument("--sigma", help="comma-separated dispersion levels in MHz")
+    p.add_argument("--sigma", type=parse_sigmas, help="comma-separated dispersion levels in MHz")
     _add_analysis_flags(p, trials_default=10_000)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_yield)
@@ -511,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     _add_params_flags(p)
     p.add_argument("--target", type=float, help="target yield fraction in (0,1)")
-    p.add_argument("--bracket", default="0.5:60", help="sigma search bracket LO:HI in MHz")
+    p.add_argument("--bracket", type=partial(parse_pair, what="bracket"), default="0.5:60",
+                   help="sigma search bracket LO:HI in MHz")
     p.add_argument("--tol", type=float, default=0.1, help="bisection tolerance in MHz")
     p.add_argument("--max-trials", type=int, dest="max_trials", default=400_000)
     _add_analysis_flags(p, trials_default=10_000)
@@ -527,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill-orientation", type=int, choices=(0, 1), dest="fill_orientation",
                    help="direction for wrap couplers the solution never oriented")
     _add_params_flags(p)
-    p.add_argument("--sigma", help="optional dispersion levels for whole-chip yield")
+    p.add_argument("--sigma", type=parse_sigmas,
+                   help="optional dispersion levels for whole-chip yield")
     _add_analysis_flags(p, trials_default=10_000)
     p.add_argument("--out", required=True, help="output prefix for .chip.json/.report.json")
     p.set_defaults(func=cmd_assemble)

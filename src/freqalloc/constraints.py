@@ -16,10 +16,14 @@ tracks the target.  The families and their measured expressions are:
     DIFF ||f_p - f_q| - |f_u - f_v||  detuning gaps of disjoint couplers
 
 Undirected families use the canonical stored order (low id first).  Spectators
-k are the distinct neighbors of the target other than the control.  Every
-family except C1 and DIFF is a lower bound on an absolute value; C1 is a hard
-window (no slack) and DIFF separates (or, with diff_separation=False, pins
-together) the absolute detunings of vertex-disjoint coupler pairs.
+k of a drive control -> target are the distinct neighbors of the target other
+than the control.  This convention is unchecked against the source paper, whose
+collision table was not available offline; Hertzberg et al. (2021) and Morvan
+et al. (2022) are recalled, not checked, to take the control's other neighbors
+(ROADMAP, Finding 4).  Every family except C1 and DIFF is a lower bound on an
+absolute value; C1 is a hard window (no slack) and DIFF separates (or, with
+diff_separation=False, pins together) the absolute detunings of vertex-disjoint
+coupler pairs.
 
 LINEAR_FORMS is the single encoding of the bounded families' expressions:
 model building, checking, verification, the annealer and the yield sampler
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .jsonio import array, bit, boolean, fields, mapping, number
+from .jsonio import array, bit, boolean, fields, index_key, mapping, number
 from .topology import Edge, Topology, edge_key, parse_edge_key
 
 # Families carrying a slack lower bound, in canonical emission order.
@@ -193,20 +197,13 @@ class FrequencyAssignment:
 
     @staticmethod
     def from_json_dict(d: dict, where: str = "assignment") -> "FrequencyAssignment":
-        return FrequencyAssignment.from_fields(
-            fields(d, where, ASSIGNMENT_FIELDS, required=("frequencies_mhz",)))
-
-    @staticmethod
-    def from_fields(f: dict) -> "FrequencyAssignment":
-        """The assignment of a document read with ASSIGNMENT_FIELDS."""
-        return FrequencyAssignment(
-            frequencies={int(q): x for q, x in f.get("frequencies_mhz", {}).items()},
-            orientations={parse_edge_key(k): bit for k, bit in f.get("orientations", {}).items()},
-        )
+        f = fields(d, where, ASSIGNMENT_FIELDS, required=("frequencies_mhz",))
+        return FrequencyAssignment(f["frequencies_mhz"], f.get("orientations", {}))
 
 
 # the assignment part of assignment and solution files
-ASSIGNMENT_FIELDS = {"frequencies_mhz": mapping(number), "orientations": mapping(bit)}
+ASSIGNMENT_FIELDS = {"frequencies_mhz": mapping(number, index_key),
+                     "orientations": mapping(bit, parse_edge_key)}
 
 
 # -- enumeration -------------------------------------------------------------
@@ -384,6 +381,7 @@ class ViolationReport:
     n_instances: int
     violations: list[Violation]
     min_margin: float
+    family_min: dict[str, float] = field(default_factory=dict)  # price's; not serialized
 
     @property
     def ok(self) -> bool:
@@ -440,7 +438,8 @@ def price(t: InstanceTable, x: np.ndarray, rows, params: ConstraintParams, tight
     tightened.  A row measures abs(((c0*x0 + c1*x1) + c2*x2) + const), C1
     min(fc - ft, ft - fc - alpha), DIFF abs(abs(fp - fq) - abs(fu - fv)).  The
     margin is measured - bound (bound - measured for DIFF in proximity mode),
-    violated below -tol; the minimum is the first smallest.
+    violated below -tol; the minimum is the first smallest.  family_min holds each
+    bounded family's smallest measured value among the selected rows.
     """
     family, parts, n_parts = t.family[rows], t.parts[rows], t.n_parts[rows]
     # a padding term (qubit 0, coefficient 0) only sets the sign of a zero sum, which abs drops
@@ -448,6 +447,10 @@ def price(t: InstanceTable, x: np.ndarray, rows, params: ConstraintParams, tight
     terms = x[t.idx[rows]] * t.coef[rows]
     measured = np.where(t.c1[rows], np.minimum(fc - ft, ft - fc - params.alpha),
                         np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + t.const[rows]))
+    lowest = np.full(len(TABLE_FAMILIES), np.inf)  # stays inf for a family without rows
+    np.minimum.at(lowest, family, measured)
+    family_min = {fam: m for fam, m in sorted(zip(TABLE_FAMILIES, lowest.tolist()))
+                  if fam != "C1" and m < np.inf}
     bound = t.bound[rows]
     if tightened:
         bound = bound + np.array([params.tightening(f) for f in TABLE_FAMILIES])[family]
@@ -474,7 +477,7 @@ def price(t: InstanceTable, x: np.ndarray, rows, params: ConstraintParams, tight
         ]
         margins.append(margin)
     min_margin = min((float(m[m.argmin()]) for m in margins if len(m)), default=float("inf"))
-    return ViolationReport(sum(map(len, margins)), violations, min_margin)
+    return ViolationReport(sum(map(len, margins)), violations, min_margin, family_min)
 
 
 def check(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> ViolationReport:

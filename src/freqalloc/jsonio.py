@@ -4,13 +4,16 @@ A reader is a function (value, where) -> value that checks one JSON type;
 where names the value's place in its document, e.g. topology.n_qubits or
 solution.frequencies_mhz['0'], and a value of the wrong type raises
 ValueError naming it.  fields() reads an object against a spec mapping each
-allowed key to its reader, so a document's schema is one dict.  A bool is
-not a number, a string is not a number, and nothing is truncated: the one
-conversion is number's, a JSON integer read as a float.
+allowed key to its reader, so a document's schema is one dict.  Object keys
+are strings unless mapping() is given a key reader, such as index_key for the
+str(i) keys of qubit ids and edge indexes.  A bool is not a number, a string
+is not a number, and nothing is truncated: the one conversion is number's, a
+JSON integer read as a float.
 """
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 
@@ -37,10 +40,18 @@ def number(value, where: str) -> float:
     return float(_finite(value, where))
 
 
-def mapping(read):
-    """A reader of an object whose every value is read by read."""
-    return lambda value, where: {key: read(item, f"{where}[{key!r}]")
-                                 for key, item in obj(value, where).items()}
+def mapping(read, key=lambda k, where: k):
+    """A reader of an object whose every key is read by key and every value by read."""
+    return lambda value, where: {key(k, where): read(item, f"{where}[{k!r}]")
+                                 for k, item in obj(value, where).items()}
+
+
+def index_key(key: str, where: str) -> int:
+    """An object key written as str(i) for an index i >= 0, e.g. a qubit id."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValueError(f"{where} key {json.dumps(key)} must be an index like \"7\" "
+                         "(no sign or leading zero)")
+    return int(key)
 
 
 def array(read, length: int | None = None):

@@ -108,9 +108,8 @@ class Solution:
     def from_json_dict(d: dict, where: str = "solution") -> "Solution":
         # unsolved statuses may omit the assignment part
         f = fields(d, where, _SOLUTION_FIELDS, required=("status",))
-        a = FrequencyAssignment.from_fields(f)
-        return Solution(f["status"], a.frequencies, a.orientations, f.get("slacks_mhz", {}),
-                        f.get("objective_mhz"))
+        return Solution(f["status"], f.get("frequencies_mhz", {}), f.get("orientations", {}),
+                        f.get("slacks_mhz", {}), f.get("objective_mhz"))
 
 
 _SOLUTION_FIELDS = {**ASSIGNMENT_FIELDS, "status": text, "slacks_mhz": mapping(number),

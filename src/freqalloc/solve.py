@@ -173,8 +173,9 @@ def verify(solution: Solution, table: InstanceTable, params: ConstraintParams, t
     bounds.  MILP solvers satisfy constraints only to their feasibility
     tolerance, so an instance counts as violated when its margin drops
     below -tol; pass tol=0 for the strict reading.  Raises ValueError for the
-    first directed row's coupler without an orientation, then for the first
-    active participant without a frequency.
+    first directed row's coupler without an orientation, then for the
+    lowest-numbered qubit without a frequency that an active row or a DIFF
+    pair reads.
     """
     bits = [solution.orientations.get(pair) for pair in table.edges]
     directed = table.case >= 0
@@ -188,14 +189,11 @@ def verify(solution: Solution, table: InstanceTable, params: ConstraintParams, t
     freqs = solution.frequencies
     lacking = np.array([q not in freqs for q in range(table.n_qubits)], dtype=bool)
     if lacking.any():
-        parts = table.parts[rows]
-        hit = lacking[parts] & (np.arange(3) < table.n_parts[rows][:, None])
-        if not hit.any():
-            parts = np.array(table.edges, dtype=np.intp).reshape(-1, 2)[table.diff].reshape(-1, 4)
-            hit = lacking[parts]
-        if hit.any():
-            q = parts.flat[hit.argmax()]  # row-major: the first instance, then its first role
-            raise ValueError(f"solution lacks a frequency for qubit {q}")
+        read = np.zeros_like(lacking)  # the qubits an active row or a DIFF pair reads
+        read[table.parts[rows][np.arange(3) < table.n_parts[rows][:, None]]] = True
+        read[np.array(table.edges, dtype=np.intp).reshape(-1, 2)[table.diff.ravel()]] = True
+        if (lacking & read).any():
+            raise ValueError(f"solution lacks a frequency for qubit {(lacking & read).argmax()}")
     x = np.array([freqs.get(q, 0.0) for q in range(table.n_qubits)], dtype=float)
     return price(table, x, rows, params, tightened, tol)
 
@@ -341,7 +339,8 @@ def solve_anneal(
     The schedule is fixed by the config, so the result is a deterministic
     function of the seed; status is "feasible" only when the best state has
     zero violations, "timeout" otherwise (the search proves nothing about
-    infeasibility).
+    infeasibility).  Status, slacks (verify's family_min) and objective come
+    from one verify of the best state.
     """
     if cfg.backend != "anneal":
         raise ValueError("solve_anneal needs backend 'anneal'")
@@ -398,16 +397,8 @@ def solve_anneal(
         temp *= cooling
 
     best = Solution(status="feasible", frequencies=best_freqs, orientations=best_orient)
-    feasible = verify(best, table, params, tightened=True, tol=0.0).ok
-    # each bounded family's smallest active measured value; the padding term adds
-    # only a zero, so the sums equal _margin's bit for bit
-    x = np.array([best_freqs.get(q, 0.0) for q in range(table.n_qubits)])
-    bits = np.array([best_orient.get(pair, -1) for pair in table.edges], dtype=np.intp)
-    active = ~table.c1 & ((table.case < 0) | (bits[table.edge] == table.case))
-    terms = x[table.idx] * table.coef
-    measured = np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + table.const)
-    slacks = {fam: float(measured[on].min()) for fam in sorted(TABLE_FAMILIES)
-              if (on := active & (table.family == TABLE_FAMILIES.index(fam))).any()}
-    objective = sum(v - params.base_bound(f) for f, v in slacks.items()) if feasible else None
-    return replace(best, status="feasible" if feasible else "timeout", slacks=slacks,
-                   objective_value=objective)
+    report = verify(best, table, params, tightened=True, tol=0.0)
+    objective = (sum(v - params.base_bound(f) for f, v in report.family_min.items())
+                 if report.ok else None)
+    return replace(best, status="feasible" if report.ok else "timeout",
+                   slacks=report.family_min, objective_value=objective)

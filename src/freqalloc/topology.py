@@ -15,9 +15,10 @@ edges share the one physical coupler direction).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
 
-from .jsonio import array, bit, boolean, fields, integer, mapping, obj, text
+from .jsonio import array, bit, boolean, fields, index_key, integer, mapping, obj, text
 
 Edge = tuple[int, int]
 
@@ -32,9 +33,13 @@ def edge_key(a: int, b: int) -> str:
     return f"{a}-{b}"
 
 
-def parse_edge_key(key: str) -> Edge:
-    a, b = key.split("-")
-    return _canon(int(a), int(b))
+def parse_edge_key(key: str, where: str = "edge") -> Edge:
+    """The inverse of edge_key, a key reader: 'low-high' with low < high, no other form."""
+    m = re.fullmatch(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)", key)
+    if not m or int(m[1]) >= int(m[2]):
+        raise ValueError(f"{where} key {json.dumps(key)} must be a coupler like \"0-1\" "
+                         "(low id first)")
+    return int(m[1]), int(m[2])
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,8 @@ class Topology:
     @staticmethod
     def from_json_dict(d: dict, where: str = "topology") -> "Topology":
         f = fields(d, where, _TOPOLOGY_FIELDS, required=("n_qubits", "edges"))
-        orientation = f.get("orientation")
-        if orientation is not None:
-            orientation = {parse_edge_key(k): b for k, b in orientation.items()}
-        return Topology(f["n_qubits"], f["edges"], f.get("geometry", {}), orientation,
-                        {int(k): tag for k, tag in f.get("wrap_tags", {}).items()})
+        return Topology(f["n_qubits"], f["edges"], f.get("geometry", {}), f.get("orientation"),
+                        f.get("wrap_tags", {}))
 
     @staticmethod
     def from_json(text: str) -> "Topology":
@@ -165,7 +167,8 @@ class Topology:
 
 
 _TOPOLOGY_FIELDS = {"n_qubits": integer, "edges": array(array(integer, 2)), "geometry": obj,
-                    "orientation": mapping(bit), "wrap_tags": mapping(obj)}
+                    "orientation": mapping(bit, parse_edge_key),
+                    "wrap_tags": mapping(obj, index_key)}
 
 
 # -- generators ------------------------------------------------------------

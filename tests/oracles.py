@@ -69,6 +69,33 @@ def naive_violations(edges, orient, freqs, alpha=-350.0, bounds=None, c1_enabled
     )
 
 
+def naive_family_min(edges, orient, freqs, alpha=-350.0, bounds=None):
+    """{family: smallest measured value} over every bounded family's instances, sorted by name.
+
+    A measured value is the absolute expression of naive_margins before its bound
+    is subtracted; only the families in bounds count (C1 and DIFF are not bounded).
+    """
+    bounds = DEFAULT_BOUNDS if bounds is None else bounds
+    nbr = defaultdict(set)
+    for a, b in edges:
+        nbr[a].add(b)
+        nbr[b].add(a)
+    values = defaultdict(list)
+    for a, b in edges:
+        values["A1"].append(abs(freqs[a] - freqs[b]))
+        values["A2"].append(abs(freqs[a] - freqs[b] - alpha))
+        c, t = (a, b) if orient[(a, b)] == 0 else (b, a)
+        fd = freqs[t]
+        values["E1"].append(abs(fd - freqs[c]))
+        values["E2"].append(abs(fd - freqs[c] - alpha))
+        values["D1"].append(abs(fd - freqs[c] - alpha / 2.0))
+        for k in nbr[t] - {c}:
+            values["S1"].append(abs(fd - freqs[k]))
+            values["S2"].append(abs(fd - freqs[k] - alpha))
+            values["T1"].append(abs(fd + freqs[k] - 2.0 * freqs[c] - alpha))
+    return {fam: min(vals) for fam, vals in sorted(values.items()) if fam in bounds}
+
+
 def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
     """Wilson score interval, the standard 95 pct default."""
     n = total

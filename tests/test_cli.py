@@ -469,6 +469,17 @@ MALFORMED_INPUTS = {
     "seed_beyond_philox_key": (None, None, None, None, ["--seed", str(2**128)]),
     "config_yield_seed_negative": (None, None, None, {"yield": {"seed": -3}}, []),
     "config_params_null": (None, None, None, {"params": None}, []),
+    "solution_frequency_key_letter":
+        (None, {**SOLUTION_DOC, "frequencies_mhz": {"x": 5000.0, "1": 5100.0}}, None, None, []),
+    "solution_frequency_key_leading_zero":
+        (None, {**SOLUTION_DOC, "frequencies_mhz": {"0": 5000.0, "01": 5100.0}}, None, None, []),
+    # read as one coupler, the second key would silently override the first
+    "solution_orientation_key_reversed":
+        (None, {**SOLUTION_DOC, "orientations": {"0-1": 0, "1-0": 1}}, None, None, []),
+    "topology_orientation_key_reversed":
+        ({"n_qubits": 2, "edges": [[0, 1]], "orientation": {"1-0": 0}}, None, None, None, []),
+    "topology_wrap_tags_key_letter":
+        ({"n_qubits": 2, "edges": [[0, 1]], "wrap_tags": {"a": {}}}, None, None, None, []),
 }
 
 # the location that the error line of a case must name
@@ -486,7 +497,50 @@ ERROR_NAMES = {
     "seed_beyond_philox_key": "--seed",
     "config_yield_seed_negative": "config.yield.seed",
     "config_params_null": "config.params",
+    "solution_frequency_key_letter": 'solution.frequencies_mhz key "x"',
+    "solution_frequency_key_leading_zero": 'solution.frequencies_mhz key "01"',
+    "solution_orientation_key_reversed": 'solution.orientations key "1-0"',
+    "topology_orientation_key_reversed": 'topology.orientation key "1-0"',
+    "topology_wrap_tags_key_letter": 'topology.wrap_tags key "a"',
 }
+
+# a solution of another topology: the 1x2 path's plus a qubit and a coupler it lacks
+FOREIGN_KEYS = {
+    "frequency": ({**SOLUTION_DOC, "frequencies_mhz": {"0": 5000.0, "1": 4800.0, "7": 1.0}},
+                  'solution.frequencies_mhz key "7"'),
+    "orientation": ({**SOLUTION_DOC, "orientations": {"0-1": 0, "5-9": 1}},
+                    'solution.orientations key "5-9"'),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["yield", "--sigma", "1", "--trials", "10"],
+    ["threshold", "--target", "0.5", "--trials", "10", "--max-trials", "10"],
+], ids=["verify", "yield", "threshold"])
+@pytest.mark.parametrize("case", FOREIGN_KEYS)
+def test_solution_must_fit_the_topology(tmp_path, capsys, command, case):
+    sol_doc, name = FOREIGN_KEYS[case]
+    assert main([*command, *two_qubit_inputs(tmp_path, sol_doc=sol_doc)]) == 2
+    assert name in assert_one_error_line(capsys)
+
+
+# a text flag's value is parsed with the flag, before any input file is read
+@pytest.mark.parametrize("argv, name", [
+    (["threshold", "--topology", "missing.json", "--solution", "missing.json",
+      "--target", "0.5", "--bracket", "1:x"], "--bracket"),
+    (["yield", "--topology", "missing.json", "--solution", "missing.json",
+      "--sigma", "2,abc"], "--sigma"),
+    (["build", "--topology", "missing.json", "--window", "5000"], "--window"),
+    (["solve", "--topology", "missing.json", "--budget", "5 min"], "--budget"),
+    (["yield", "--topology", "missing.json", "--solution", "missing.json",
+      "--config", "c.json"], "config.yield.sigma"),
+], ids=["bracket", "sigma", "window", "budget", "config_sigma"])
+def test_text_flags_fail_before_inputs_are_read(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"yield": {"sigma": "2,abc"}}))
+    assert main(argv) == 2
+    assert name in assert_one_error_line(capsys)
+
 
 # (command, --config document) for the commands the table above does not run
 MALFORMED_CONFIGS = {
@@ -708,6 +762,19 @@ def test_assemble_tiles_a_feasible_unit_once(tmp_path, monkeypatch):
                  "--bc", "PBC1", "--nx", "2", "--ny", "2",
                  "--out", str(tmp_path / "chip")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "-1"], ["--trials", "0"], ["--jobs", "0"],
+                                   ["--sigma", "2,abc"]], ids=["sigma", "trials", "jobs", "parse"])
+def test_assemble_bad_yield_inputs_write_nothing(tmp_path, flags):
+    unit_path = tmp_path / "unit.json"
+    assert main(["topo", "--kind", "square", "--rows", "3", "--cols", "3",
+                 "--out", str(unit_path)]) == 0
+    sol_path = write_unit_solution(tmp_path)
+    assert main(["assemble", "--unit", str(unit_path), "--solution", str(sol_path),
+                 "--nx", "2", "--ny", "2", "--sigma", "5", *flags,
+                 "--out", str(tmp_path / "chip")]) == 2
+    assert not list(tmp_path.glob("chip.*"))
 
 
 def test_assemble_rejects_wrapped_unit(tmp_path):

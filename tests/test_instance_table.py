@@ -27,7 +27,7 @@ from freqalloc.model import Solution
 from freqalloc.solve import verify
 from freqalloc.topology import Topology, hex_rings, square_grid, wrap
 
-from .oracles import naive_margins, naive_violations
+from .oracles import naive_family_min, naive_margins, naive_violations
 from .table_rows import table_rows
 
 UNIT_DIR = pathlib.Path(__file__).parent / "fixtures" / "units"
@@ -222,6 +222,32 @@ def test_verify_lacking_inputs_of_inactive_instances():
     with pytest.raises(ValueError, match="frequency for qubit 2$"):
         verify(Solution("feasible", {0: 5000.0, 1: 5020.0}),
                enumerate_records(topo, "free", params), params, tightened=True)
+
+
+@pytest.mark.parametrize("mode", ["free", "fixed"])
+@pytest.mark.parametrize("params", [
+    default_params(), OFF_GRID, ConstraintParams(base_bounds={"T1": 17.0, "A2": 30.0, "D1": 2.0}),
+], ids=["default", "offgrid", "three_families"])
+@pytest.mark.parametrize("label,topo,asg", CASES, ids=[c[0] for c in CASES])
+def test_verify_family_min_matches_the_naive_oracle(label, topo, asg, params, mode):
+    orient = realized_orientation(topo, asg)
+    if mode == "fixed":
+        topo = dataclasses.replace(topo, orientation=orient)
+    report = verify(Solution("feasible", asg.frequencies, orient),
+                    enumerate_records(topo, mode, params), params, tightened=True)
+    naive = naive_family_min(topo.edges, orient, asg.frequencies, params.alpha,
+                             params.base_bounds)
+    assert list(report.family_min) == list(naive) == sorted(params.base_bounds)
+    assert report.family_min == naive  # the same operations in the same order: exact
+
+
+def test_verify_names_the_lowest_missing_qubit():
+    # the first row, A1 of (1, 2), reads qubit 1 before the second row reads qubit 0
+    topo = Topology(3, [(1, 2), (0, 1)])
+    with pytest.raises(ValueError, match="frequency for qubit 0$"):
+        verify(Solution("feasible", {2: 5000.0}, {(1, 2): 0, (0, 1): 0}),
+               enumerate_records(topo, "free", default_params()), default_params(),
+               tightened=True)
 
 
 def test_table_length_and_diff_pairs_in_order():
