@@ -18,6 +18,12 @@ Memory is bounded: trials run in blocks of about _WORK_BYTES of noise, and
 each block walks the instances in chunks of the same size, so the working
 set grows with n_qubits x block, not with instances x trials.  The chunking
 does not change any count.
+
+A block evaluates only the rows its largest shift dev from base can break.
+A row's reach, the largest shift of every qubit it survives, is (|expr| -
+bound - r) / sum|coef|, or (C1 margin - r) / 2, with r = 1e-9 x the row's
+magnitude for rounding; each term moves by at most |coef| * dev, so a row
+with reach >= dev cannot fail and skipping it changes no count.
 """
 from __future__ import annotations
 
@@ -128,22 +134,31 @@ class _Compiled:
     c1_ctrl: np.ndarray    # (n_c1,)
     c1_tgt: np.ndarray     # (n_c1,)
     alpha: float
+    abs_reach: np.ndarray  # (n_abs,) largest per-qubit shift each row survives
+    c1_reach: np.ndarray   # (n_c1,)
 
 
 def _compile(topo: Topology, assignment: FrequencyAssignment, params: ConstraintParams) -> _Compiled:
-    """A view of the realized instance table: its bounded rows and its C1 rows."""
+    """A view of the realized instance table: its bounded rows, its C1 rows, their reaches."""
     t, base = realized_table(topo, assignment, params)
     c1, bounded = t.c1, ~t.c1
+    terms, const, bound = base[t.idx[bounded]] * t.coef[bounded], t.const[bounded], t.bound[bounded]
+    expr = np.abs(terms[:, 0] + terms[:, 1] + terms[:, 2] + const)
+    allow = 1e-9 * (np.abs(terms).sum(axis=1) + np.abs(const) + bound)
+    fc, ft = base[t.parts[c1, 0]], base[t.parts[c1, 1]]
     return _Compiled(
         n_qubits=topo.n_qubits,
         base=base,
         abs_idx=t.idx[bounded],
         abs_coef=t.coef[bounded],
-        abs_const=t.const[bounded],
-        abs_bound=t.bound[bounded],
+        abs_const=const,
+        abs_bound=bound,
         c1_ctrl=t.parts[c1, 0],
         c1_tgt=t.parts[c1, 1],
         alpha=params.alpha,
+        abs_reach=(expr - bound - allow) / np.abs(t.coef[bounded]).sum(axis=1),
+        c1_reach=(np.minimum(fc - ft, ft - fc - params.alpha)
+                  - 1e-9 * (np.abs(fc) + np.abs(ft) + abs(params.alpha))) / 2,
     )
 
 
@@ -155,14 +170,18 @@ def _eval_block(comp: _Compiled, freqs: np.ndarray) -> tuple[np.ndarray, np.ndar
     set does not grow with the instance count.  Each expression is summed
     in the order ((c0*x0 + c1*x1) + c2*x2) + const.  The indices come from
     _compile and are in range, so take may skip its buffered bounds check.
+    Only rows whose reach is not >= the block's shift dev (so all, if NaN) are priced.
     """
     x = np.ascontiguousarray(freqs.T)
     b = x.shape[1]
     viol = np.zeros(b, dtype=np.int64)
     step = max(1, _WORK_BYTES // (8 * b))
     expr, term = np.empty((step, b)), np.empty((step, b))
-    for lo in range(0, len(comp.abs_bound), step):
-        idx, coef = comp.abs_idx[lo:lo + step], comp.abs_coef[lo:lo + step]
+    dev = np.abs(freqs - comp.base).max(initial=0.0)
+    rows = np.flatnonzero(~(comp.abs_reach >= dev))
+    for lo in range(0, len(rows), step):
+        sel = rows[lo:lo + step]
+        idx, coef = comp.abs_idx[sel], comp.abs_coef[sel]
         e, t = expr[:len(idx)], term[:len(idx)]
         np.take(x, idx[:, 0], axis=0, out=e, mode="clip")
         e *= coef[:, 0, None]
@@ -170,10 +189,11 @@ def _eval_block(comp: _Compiled, freqs: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.take(x, idx[:, j], axis=0, out=t, mode="clip")
             t *= coef[:, j, None]
             e += t
-        e += comp.abs_const[lo:lo + step, None]
-        viol += np.count_nonzero(np.abs(e, out=e) < comp.abs_bound[lo:lo + step, None], axis=0)
-    for lo in range(0, len(comp.c1_ctrl), step):
-        ctrl, tgt = comp.c1_ctrl[lo:lo + step], comp.c1_tgt[lo:lo + step]
+        e += comp.abs_const[sel, None]
+        viol += np.count_nonzero(np.abs(e, out=e) < comp.abs_bound[sel, None], axis=0)
+    rows = np.flatnonzero(~(comp.c1_reach >= dev))
+    for lo in range(0, len(rows), step):
+        ctrl, tgt = comp.c1_ctrl[rows[lo:lo + step]], comp.c1_tgt[rows[lo:lo + step]]
         fc = np.take(x, ctrl, axis=0, out=expr[:len(ctrl)], mode="clip")
         ft = np.take(x, tgt, axis=0, out=term[:len(tgt)], mode="clip")
         viol += np.count_nonzero(np.minimum(fc - ft, ft - fc - comp.alpha) < 0.0, axis=0)

@@ -308,6 +308,106 @@ def test_yield_curve_matches_per_sigma_estimates(monkeypatch):
     assert yield_curve(asg, topo, p, sigmas, trials=3000, seed=3, n_jobs=3) == curve
 
 
+# -- safe-row skip: a block prices only the rows its largest shift can break ------
+
+
+def einsum_violations(comp, freqs):
+    """Violated rows per trial, every row priced at once: no chunks, no skip."""
+    expr = np.einsum("bij->bi", freqs[:, comp.abs_idx] * comp.abs_coef) + comp.abs_const
+    fc, ft = freqs[:, comp.c1_ctrl], freqs[:, comp.c1_tgt]
+    return ((np.abs(expr) < comp.abs_bound).sum(axis=1)
+            + (np.minimum(fc - ft, ft - fc - comp.alpha) < 0.0).sum(axis=1)).tolist()
+
+
+def assert_skip_is_exact(comp, freqs):
+    ok, viol = yield_mc._eval_block(comp, freqs)
+    no_skip = dataclasses.replace(comp, abs_reach=np.full_like(comp.abs_reach, -np.inf),
+                                  c1_reach=np.full_like(comp.c1_reach, -np.inf))
+    ok_all, viol_all = yield_mc._eval_block(no_skip, freqs)
+    assert viol.tolist() == viol_all.tolist() == einsum_violations(comp, freqs)
+    assert ok.tolist() == ok_all.tolist() == (viol == 0).tolist()
+    return viol.tolist()
+
+
+@pytest.fixture(scope="module")
+def chip_1024():
+    unit, sol = pbc1_4x4_unit()
+    p = default_params()
+    chip = tile(unit, sol, preset_bc("PBC1"), 8, 8, p)
+    return yield_mc._compile(chip.chip_topology, chip.chip_assignment, p)
+
+
+@pytest.mark.parametrize("sigma, least_skipped, most_skipped", [
+    (0.0, 1.0, 1.0), (1.75, 0.9, 1.0), (2.25, 0.9, 1.0), (25.0, 0.01, 0.5), (100.0, 0.0, 0.0),
+])
+def test_row_skip_is_exact_on_the_chip(chip_1024, sigma, least_skipped, most_skipped):
+    comp = chip_1024
+    assert comp.n_qubits == 1024
+    reach = np.concatenate([comp.abs_reach, comp.c1_reach])
+    for noise in yield_mc._trial_noise(1, comp.n_qubits, 0, 64):  # two 32-trial blocks
+        freqs = comp.base + sigma * noise
+        skipped = np.mean(reach >= np.abs(freqs - comp.base).max())
+        assert least_skipped <= skipped <= most_skipped
+        viol = assert_skip_is_exact(comp, freqs)
+        assert (sum(viol) == 0) == (sigma == 0.0)
+
+
+def t1_trap(offset):
+    """One T1 row, drive 0 -> 1 with spectator 2, 3.5 MHz over its bound at base.
+
+    Moving qubit 0 up and qubits 1, 2 down by dev = 1 MHz takes 4 MHz off it,
+    so the row fails; a reach that divided the 3.5 MHz by max|coef| = 2 or by
+    ||coef||_2 = 2.45 instead of sum|coef| = 4 would exceed dev and skip it.
+    """
+    p = dataclasses.replace(default_params(), base_bounds={"T1": 17.0}, c1_enabled=False)
+    topo = Topology(n_qubits=3, edges=[(0, 1), (1, 2)])
+    asg = FrequencyAssignment(
+        frequencies={0: offset + 5000.0, 1: offset + 4835.25, 2: offset + 4835.25},
+        orientations={(0, 1): 0, (1, 2): 0},
+    )
+    comp = yield_mc._compile(topo, asg, p)
+    assert comp.abs_coef.tolist() == [[1.0, 1.0, -2.0]] and comp.abs_bound.tolist() == [17.0]
+    return comp, comp.base + np.array([[0.0, 0.0, 0.0], [1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
+def test_row_skip_keeps_a_t1_row_that_sum_coef_reaches():
+    comp, freqs = t1_trap(0.0)
+    assert 0.5 < comp.abs_reach[0] < 1.0
+    assert assert_skip_is_exact(comp, freqs) == [0, 1, 0]
+
+
+def test_row_skip_rounding_allowance_at_large_frequencies():
+    comp, freqs = t1_trap(1e9)
+    assert assert_skip_is_exact(comp, freqs) == [0, 1, 0]
+    # found by search: the exact margin, 4 x the computed shift, covers it, but the
+    # rounded perturbed expression falls just below the bound
+    p = dataclasses.replace(default_params(), base_bounds={"T1": 17.0}, c1_enabled=False)
+    topo = Topology(n_qubits=3, edges=[(0, 1), (1, 2)])
+    base = [1000005000.0840154, 1000004835.5856807, 1000004835.5856806]
+    asg = FrequencyAssignment(frequencies=dict(enumerate(base)),
+                              orientations={(0, 1): 0, (1, 2): 0})
+    comp = yield_mc._compile(topo, asg, p)
+    dev = 1.0008326441476534
+    freqs = comp.base + np.array([[0.0, 0.0, 0.0], [dev, -dev, -dev]])
+    margin = abs(base[1] + base[2] - 2 * base[0] + comp.abs_const[0]) - 17.0
+    assert margin / 4 >= np.abs(freqs - comp.base).max() > comp.abs_reach[0]
+    assert assert_skip_is_exact(comp, freqs) == [0, 1]
+
+
+def test_row_skip_counts_every_violation_of_an_infeasible_assignment():
+    unit, sol = pbc1_4x4_unit()
+    topo, p = wrap(unit, preset_bc("PBC1")), default_params()
+    asg = sol.as_assignment()
+    asg.frequencies[0] = asg.frequencies[1] + 5.0
+    report = check(topo, asg, p)
+    assert not report.ok
+    comp = yield_mc._compile(topo, asg, p)
+    assert (np.concatenate([comp.abs_reach, comp.c1_reach]) < 0).sum() == len(report.violations)
+    assert assert_skip_is_exact(comp, comp.base[None]) == [len(report.violations)]
+    est = estimate_yield(asg, topo, p, sigma=0.0, trials=50, seed=2)
+    assert est.successes == 0 and est.mean_violations == len(report.violations)
+
+
 # -- YieldEstimate container ------------------------------------------------------
 
 
