@@ -236,7 +236,7 @@ def tile(
 
 
 def chip_check(chip: ChipAssembly, params: ConstraintParams) -> ViolationReport:
-    """Revalidate the assembled chip at the physical base bounds."""
+    """Revalidate the assembled chip at the physical base bounds: every family but DIFF."""
     return check(chip.chip_topology, chip.chip_assignment, params)
 
 

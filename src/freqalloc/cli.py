@@ -409,6 +409,9 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
     if unit.wrap_tags:
         raise ConfigError("pass the unwrapped unit topology; tiling applies the wrap itself")
     params = _effective_params(args, cfg)
+    if params.delta_diff > 0:  # chip_check does not price DIFF
+        raise ConfigError(f"assemble cannot check DIFF on the chip: delta_diff is "
+                          f"{params.delta_diff:g} MHz, it must be 0")
     sol = _load(args.solution, "solution", Solution.from_json_dict)
     bc = _resolve_bc(args.bc)
     fill = args.fill_orientation

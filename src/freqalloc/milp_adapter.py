@@ -1,15 +1,16 @@
 """Reference MILP solver wrapper: LP file in, JSON solution out.
 
 Speaks the same CPLEX-LP dialect subset that model.export_lp emits
-(Maximize / Subject To / Bounds / Binary / End) and solves with HiGHS via
-scipy.optimize.milp.  Meant to be wired in as the external solver command:
+(Maximize / Subject To / Bounds / Binary / End; Maximize only) and solves
+with HiGHS via scipy.optimize.milp.  Meant to be wired in as the external
+solver command:
 
-    python -m freqalloc.milp_adapter {lp} {out} [--time-limit S] [--gap G]
+    python -m freqalloc.milp_adapter {lp} {out} [--time-limit S]
 
 The JSON written to {out} is {"status": ..., "values": {name: value}} with
 every variable present for solved statuses, plus HiGHS's branch-and-bound
-node count, relative gap and dual bound (in the LP's own sense) when they
-are finite.
+node count, relative gap and dual bound (an upper bound on the maximized
+objective) when they are finite.
 """
 from __future__ import annotations
 
@@ -59,15 +60,20 @@ def _finite(text: str, what: str, line: str) -> float:
 
 
 def parse_lp(text: str) -> dict:
-    """Parse the dialect subset into {sense, objective, rows, bounds, binaries}."""
+    """Parse the dialect subset into {objective, rows, bounds, binaries}.
+
+    The file must open with its Maximize section; a Minimize file, or one
+    with no objective section, raises LPParseError.
+    """
     lines: list[str] = []
     for raw in text.splitlines():
         line = raw.split("\\", 1)[0].strip()
         if line:
             lines.append(line)
+    if not lines or lines[0].lower() != "maximize":
+        raise LPParseError("the LP does not open with a Maximize section")
 
-    sections = ("maximize", "minimize", "subject to", "bounds", "binary", "end")
-    sense = None
+    sections = ("maximize", "subject to", "bounds", "binary", "end")
     objective: dict[str, float] = {}
     rows: list[tuple[str, dict[str, float], str, float]] = []
     bounds: dict[str, tuple[float, float]] = {}
@@ -79,13 +85,11 @@ def parse_lp(text: str) -> dict:
         low = lines[i].lower()
         if low in sections:
             section = low
-            if low in ("maximize", "minimize"):
-                sense = low
             if low == "end":
                 break
             i += 1
             continue
-        if section in ("maximize", "minimize"):
+        if section == "maximize":
             body = lines[i].split(":", 1)[1] if ":" in lines[i] else lines[i]
             if body.strip():
                 for var, c in _parse_terms(body).items():
@@ -110,27 +114,17 @@ def parse_lp(text: str) -> dict:
                 raise LPParseError(f"unsupported bounds line: {lines[i]!r}")
             lo, var, hi = m.groups()
             bounds[var] = (_finite(lo or "0", "bound", lines[i]), _finite(hi, "bound", lines[i]))
-        elif section == "binary":
+        else:  # binary; the first line opened the Maximize section
             for tok in lines[i].split():
                 if not re.fullmatch(_NAME, tok):
                     raise LPParseError(f"bad binary name: {tok!r}")
                 binaries.append(tok)
-        else:
-            raise LPParseError(f"content outside any section: {lines[i]!r}")
         i += 1
 
-    if sense is None:
-        raise LPParseError("no Maximize/Minimize section")
-    return {
-        "sense": sense,
-        "objective": objective,
-        "rows": rows,
-        "bounds": bounds,
-        "binaries": binaries,
-    }
+    return {"objective": objective, "rows": rows, "bounds": bounds, "binaries": binaries}
 
 
-def solve_lp(text: str, time_limit: float | None = None, gap: float | None = None) -> dict:
+def solve_lp(text: str, time_limit: float | None = None) -> dict:
     """Solve a parsed LP/MILP and return the wrapper JSON document."""
     prob = parse_lp(text)
 
@@ -154,11 +148,9 @@ def solve_lp(text: str, time_limit: float | None = None, gap: float | None = Non
         vid(var)
 
     n = len(names)
-    c = np.zeros(n)
+    c = np.zeros(n)  # HiGHS minimizes, so the Maximize objective is negated
     for var, coef in prob["objective"].items():
-        c[index[var]] = coef
-    if prob["sense"] == "maximize":
-        c = -c
+        c[index[var]] = -coef
 
     lb = np.zeros(n)
     ub = np.full(n, np.inf)
@@ -193,8 +185,6 @@ def solve_lp(text: str, time_limit: float | None = None, gap: float | None = Non
     options: dict = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if gap is not None:
-        options["mip_rel_gap"] = float(gap)
 
     res = optimize.milp(
         c,
@@ -219,9 +209,7 @@ def solve_lp(text: str, time_limit: float | None = None, gap: float | None = Non
     for key in ("mip_node_count", "mip_gap", "mip_dual_bound"):
         value = getattr(res, key, None)
         if value is not None and math.isfinite(value):
-            # HiGHS minimizes the negated objective of a Maximize model
-            flip = key == "mip_dual_bound" and prob["sense"] == "maximize"
-            doc[key] = -value if flip else value
+            doc[key] = -value if key == "mip_dual_bound" else value
     return doc
 
 
@@ -233,13 +221,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("lp_file")
     ap.add_argument("out_file")
     ap.add_argument("--time-limit", type=float, default=None, help="seconds")
-    ap.add_argument("--gap", type=float, default=None, help="relative MIP gap")
     args = ap.parse_args(argv)
 
     try:
         with open(args.lp_file, encoding="utf-8") as fh:
             text = fh.read()
-        doc = solve_lp(text, time_limit=args.time_limit, gap=args.gap)
+        doc = solve_lp(text, time_limit=args.time_limit)
     except (OSError, LPParseError, RuntimeError) as exc:
         print(f"milp_adapter: {exc}", file=sys.stderr)
         return 1

@@ -124,14 +124,11 @@ class ModelIR:
     n_qubits: int
     variables: list[VarDef]
     rows: list[RowDef]
-    objective: dict[str, float]
+    objective: list[str]                # variables maximized with unit weight
     slack_vars: dict[str, str]          # family -> variable name
     slack_base: dict[str, float]        # family -> base bound (objective offset)
     orientation_vars: dict[Edge, str]   # free mode
     orientation_fixed: dict[Edge, int]  # fixed mode
-
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
 
     def binaries(self) -> list[str]:
         return [v.name for v in self.variables if v.kind == "B"]
@@ -159,23 +156,19 @@ def linearize_abs_geq(
     name: str,
     expr: dict[str, float],
     const: float,
-    slack: str | None,
-    bound: float,
+    slack: str,
     big_m: float,
-    branch: str | tuple[str, int] | int,
+    branch: tuple[str, int] | int,
     gate: tuple[str, int] | None = None,
 ) -> list[RowDef]:
-    """Rows enforcing |expr + const| >= slack (or >= bound).
+    """Rows enforcing |expr + const| >= slack.
 
     branch = (var, c): the _p row (expr + const >= slack) binds when the
-    binary var is c and the _n row when it is 1 - c; a bare name is case 0.
-    branch = 0 or 1 keeps only the _p or only the _n row, for an expression
-    of known sign.  gate = (orientation var, case): case 0 relaxes the rows
-    by M*o, case 1 by M*(1-o), so they only bind when the coupler points the
-    instance's way.
+    binary var is c and the _n row when it is 1 - c.  branch = 0 or 1 keeps
+    only the _p or only the _n row, for an expression of known sign.
+    gate = (orientation var, case): case 0 relaxes the rows by M*o, case 1
+    by M*(1-o), so they only bind when the coupler points the instance's way.
     """
-    if isinstance(branch, str):
-        branch = (branch, 0)
     rows = []
     for suffix, sign, case in (("_p", 1.0, 0), ("_n", -1.0, 1)):
         if isinstance(branch, int) and branch != case:
@@ -183,10 +176,7 @@ def linearize_abs_geq(
         row = RowDef(name + suffix, {v: sign * c for v, c in expr.items()}, ">=", -sign * const)
         if not isinstance(branch, int):
             _gated(row, (branch[0], branch[1] ^ case), big_m)
-        if slack is not None:
-            row.coeffs[slack] = row.coeffs.get(slack, 0.0) - 1.0
-        else:
-            row.rhs += bound
+        row.coeffs[slack] = -1.0
         rows.append(_gated(row, gate, big_m))
     return rows
 
@@ -316,9 +306,8 @@ def build(
                     expr,
                     const,
                     slack_vars[fam],
-                    0.0,
                     M,
-                    next_binary() if branch is None else branch,
+                    (next_binary(), 0) if branch is None else branch,
                     gate,
                 )
             )
@@ -352,7 +341,7 @@ def build(
         n_qubits=topo.n_qubits,
         variables=variables,
         rows=rows,
-        objective={slack_vars[fam]: 1.0 for fam in fams_present},
+        objective=list(slack_vars.values()),
         slack_vars=slack_vars,
         slack_base=slack_base,
         orientation_vars=orientation_vars,
@@ -370,34 +359,23 @@ def _num(x: float) -> str:
 def _terms(coeffs: dict[str, float]) -> str:
     parts: list[str] = []
     for var, c in coeffs.items():
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = var if mag == 1 else f"{_num(mag)} {var}"
-        if not parts:
-            parts.append(body if c > 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0 " + next(iter(coeffs), "")
+        body = var if abs(c) == 1 else f"{_num(abs(c))} {var}"
+        parts.append(("- " if c < 0 else "+ " if parts else "") + body)
+    return " ".join(parts)
 
 
 def export_lp(model: ModelIR) -> str:
     """Serialize the model in the CPLEX-LP dialect subset.
 
-    Sections: Maximize / Subject To / Bounds / Binary / End.  Output is a
-    pure function of the model, so repeated exports are byte-identical.
+    Sections: Maximize (the objective variables, unit weights) / Subject To
+    / Bounds / Binary / End.  Output is a pure function of the model, so
+    repeated exports are byte-identical.
     """
     out: list[str] = ["\\ frequency assignment model", "Maximize"]
-    obj = " + ".join(name for name, c in model.objective.items() if c == 1.0)
-    extra = {n: c for n, c in model.objective.items() if c != 1.0}
-    if extra:
-        tail = _terms(extra)
-        obj = f"{obj} {tail}" if obj else tail
-    out.append(f" obj: {obj}".rstrip())
+    out.append(f" obj: {' + '.join(model.objective)}".rstrip())
     out.append("Subject To")
     for row in model.rows:
-        sense = {">=": ">=", "<=": "<=", "=": "="}[row.sense]
-        out.append(f" {row.name}: {_terms(row.coeffs)} {sense} {_num(row.rhs)}")
+        out.append(f" {row.name}: {_terms(row.coeffs)} {row.sense} {_num(row.rhs)}")
     out.append("Bounds")
     for v in model.variables:
         if v.kind == "B":

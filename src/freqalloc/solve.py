@@ -84,15 +84,6 @@ class SolverConfig:
         if self.anneal["freq_step_mhz"] <= 0:
             raise ValueError("freq_step_mhz must be > 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "command_template": self.command_template,
-            "time_budget_s": self.time_budget,
-            "seed": self.seed,
-            "anneal": dict(self.anneal),
-        }
-
     @staticmethod
     def from_json_dict(d: dict, where: str = "solver") -> "SolverConfig":
         f = fields(d, where, _SOLVER_FIELDS)

@@ -75,17 +75,6 @@ class YieldEstimate:
         if not lo <= self.yield_fraction <= hi:
             raise ValueError("yield must lie inside its confidence interval")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_mhz": self.sigma,
-            "trials": self.trials,
-            "successes": self.successes,
-            "yield": self.yield_fraction,
-            "ci95": [self.ci95[0], self.ci95[1]],
-            "seed": self.seed,
-            "mean_violations": self.mean_violations,
-        }
-
 
 # Bytes per float64 temporary of the trial kernel: one noise block, or one
 # instance chunk of a block.  Small enough to stay in cache.
@@ -303,7 +292,11 @@ def composed_yield(local_yield: float, replicas: int) -> float:
 
     This is an estimate: replicas of a unit share no fabrication randomness
     by assumption, and seam constraints are ignored.  Full-chip Monte Carlo
-    is authoritative whenever wrap or seam constraints exist.
+    is authoritative whenever wrap or seam constraints exist.  Its bias was
+    measured at the wrap-bisected sigma against 16k chip trials: on 8x8
+    tilings of the 4x4 fixtures it fell 2-12 % below the chip's 95 %
+    interval in 5 of 6 runs, and on the 3x3 PBC1 unit tiled 11x11 it was
+    about 1.8x the chip's yield.  It can seed a bracket; it is not a bound.
     """
     if not 0.0 <= local_yield <= 1.0:
         raise ValueError("local_yield must lie in [0, 1]")

