@@ -12,8 +12,9 @@ tightened bounds (one of them with DIFF on a 256-qubit chip), yield and
 threshold CSVs (some sharded with --jobs 2, one threshold escalating to its
 trial cap), two topologies and one threshold CSV whose options all come from
 --config (a preset and a custom boundary condition, a bracket list), the
-chip, report and yield files of three tilings, and the chip and report of a
-fourth whose seams collide.  The .meta.json sidecars, which
+chip, report and yield files of three tilings, the chip and report of a
+fourth whose seams collide, and the chip and report of a Möbius (flip)
+tiling.  The .meta.json sidecars, which
 hold wall-clock data, are deleted; transcript.txt keeps each command's exit
 code, stdout and stderr.  A last step reads every topology, solution, chip,
 params and config file back through its library reader and writes one
@@ -88,6 +89,7 @@ def write_inputs() -> None:
                        "seed": 9, "max_trials": 12000, "jobs": 1},
              "output": {"out": "pbc1_4x4_config.threshold.csv"}},
         "pbc1_4x4.sol.json": json.loads((UNIT_DIR / "pbc1_4x4.json").read_text())["solution"],
+        "mbc2_4x4.sol.json": json.loads((UNIT_DIR / "mbc2_4x4.json").read_text())["solution"],
     }
     for name, obj in files.items():
         pathlib.Path(name).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
@@ -200,6 +202,9 @@ def commands() -> list[list[str]]:
     cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "pbc1_4x4.sol.json",
                  "--bc", "PBC2", "--nx", "4", "--ny", "4", "--fill-orientation", "0",
                  "--out", "chip4x4_pbc2"])
+    # an odd number of flipped seams per row of tiles: the flip parity reaches the chip
+    cmds.append(["assemble", "--unit", "u4x4.json", "--solution", "mbc2_4x4.sol.json",
+                 "--bc", "MBC2", "--nx", "3", "--ny", "2", "--out", "chip3x2_mbc2"])
     return cmds
 
 
@@ -214,7 +219,7 @@ def readback_files() -> list[tuple[str, object]]:
                   "p5", "g2x3", "g3x3", "g4x4_pbc2_config", "g3x4_custom_config", "g2x2_fixed",
                   "g3x3_pbc1_fixed", "w3x3_pbc1_unit", "chip4x4_topo"]
     solutions = ["pbc1_4x4", "chip4x4", *(name for name, *_ in ANNEALS)]
-    chips = ["chip4x4_jobs2", "chip4x4", "chip8x8", "chip4x4_pbc2"]
+    chips = ["chip4x4_jobs2", "chip4x4", "chip8x8", "chip4x4_pbc2", "chip3x2_mbc2"]
     return ([(f"{name}.json", _document(Topology.from_json_dict)) for name in topologies]
             + [(f"{name}.sol.json", _document(Solution.from_json_dict)) for name in solutions]
             + [(f"{name}.chip.json", _document(ChipAssembly.from_json_dict)) for name in chips]
