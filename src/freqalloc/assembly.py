@@ -1,14 +1,11 @@
 """Boundary-condition presets and tiling of unit solutions into chips.
 
-A unit cell solved on wrap(unit, bc) can be stamped nx x ny times into one
-flat chip.  Stepping one tile to the right applies the x-wrap row transform
-X(r) = ((rows-1-r if flip else r) + shift) % rows to the copy; vertical
-stacking is plain.  Under that placement every chip edge is the image of an
-edge of the wrapped unit: intra-tile horizontal edges map to interior edges,
-x seams map to x-wrap edges, and vertical edges map to interior or y-wrap
-edges (shifted copies roll rows through the y wrap).  A wrap-feasible unit
-pattern therefore stays feasible on the whole chip, because each chip
-constraint takes exactly the value of the unit constraint it images.
+BoundaryCondition.site reduces every plane site to a site of the rows x
+cols unit, and wrap(unit, bc) is the graph it makes of the plane's
+couplers.  tile() lifts a unit solution solved on that wrap through the
+same map into an nx x ny chip, so every chip edge images a wrapped-unit
+edge and each chip constraint takes exactly the value of the unit
+constraint it images: a wrap-feasible unit stays feasible on the chip.
 
 The image argument needs neighbor images to stay distinct, which holds for
 units of at least 3 rows and 3 columns; tile() rejects smaller units.
@@ -16,6 +13,8 @@ units of at least 3 rows and 3 columns; tile() rejects smaller units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .constraints import (
     ConstraintParams,
@@ -27,22 +26,20 @@ from .constraints import (
 from .jsonio import array, fields, index_key, integer, mapping
 from .model import Solution
 from .solve import verify
-from .topology import AxisWrap, BoundaryCondition, Edge, Topology, square_grid, wrap
+from .topology import AxisWrap, BoundaryCondition, Topology, square_grid, wrap
 
 
 class PreconditionError(ValueError):
     """The unit solution is not feasible for the wrapped unit model."""
 
 
-# Provisional twist offsets; data, not code, so they can be corrected
-# against a reference layout without touching the tiling logic.
-PRESET_TABLE: dict[str, dict] = {
-    "PBC1": {"x_shift": 0, "x_flip": False},
-    "PBC2": {"x_shift": 1, "x_flip": False},
-    "PBC3": {"x_shift": 2, "x_flip": False},
-    "MBC1": {"x_shift": 0, "x_flip": True},
-    "MBC2": {"x_shift": 1, "x_flip": True},
-    "MBC3": {"x_shift": 2, "x_flip": True},
+# The x wrap of each preset; the y wrap is plain for all of them.  Provisional
+# twist offsets: data, not code, so they can be corrected against a reference
+# layout without touching the tiling logic.
+PRESET_TABLE: dict[str, AxisWrap] = {
+    "PBC1": AxisWrap(shift=0), "PBC2": AxisWrap(shift=1), "PBC3": AxisWrap(shift=2),
+    "MBC1": AxisWrap(shift=0, flip=True), "MBC2": AxisWrap(shift=1, flip=True),
+    "MBC3": AxisWrap(shift=2, flip=True),
 }
 
 
@@ -57,12 +54,7 @@ def preset_bc(name: str) -> BoundaryCondition:
         raise ValueError("custom boundary conditions need explicit parameters")
     if name not in PRESET_TABLE:
         raise ValueError(f"unknown boundary condition {name!r}; presets: {sorted(PRESET_TABLE)}")
-    entry = PRESET_TABLE[name]
-    return BoundaryCondition(
-        name=name,
-        x=AxisWrap(shift=entry["x_shift"], flip=entry["x_flip"]),
-        y=AxisWrap(),
-    )
+    return BoundaryCondition(name, x=PRESET_TABLE[name])
 
 
 @dataclass
@@ -117,7 +109,7 @@ def _validate_tiling_args(unit: Topology, bc: BoundaryCondition, nx: int, ny: in
     if not bc.x.enabled:
         raise ValueError("tiling requires an enabled x wrap")
     # shifted copies roll rows through the y wrap, so it must close plainly
-    if not (bc.y.enabled and bc.y.shift == 0 and not bc.y.flip):
+    if not (bc.y.enabled and bc.y.shift == 0):
         raise ValueError("tiling requires a plain enabled y wrap")
     return rows, cols
 
@@ -160,11 +152,9 @@ def tile(
         raise ValueError(f"unit solution lacks frequencies for qubits {missing_q[:5]}")
     orient = dict(unit_solution.orientations)
     missing_p = sorted(wrapped.edge_pairs() - set(orient))
-    if missing_p and fill_orientation is not None:
-        orient.update({pair: fill_orientation for pair in missing_p})
-        missing_p = []
-    if missing_p:
+    if missing_p and fill_orientation is None:
         raise ValueError(f"unit solution lacks orientations for couplers {missing_p[:5]}")
+    orient.update(dict.fromkeys(missing_p, fill_orientation))
     if require_feasible:
         table = enumerate_records(wrapped, "free", params)
         oriented = replace(unit_solution, orientations=dict(orient))
@@ -175,63 +165,38 @@ def tile(
                 f"constraints (worst margin {report.min_margin:.3f} MHz)"
             )
 
-    # row_map[k] is the unit row occupied by local row r after k boundary
-    # crossings to the right
-    row_map = [list(range(rows))]
-    for _ in range(1, nx):
-        row_map.append([bc.x.image(r, rows) for r in row_map[-1]])
-
     big_rows, big_cols = rows * ny, cols * nx
-
-    def unit_site(chip_r: int, chip_c: int) -> int:
-        return row_map[chip_c // cols][chip_r % rows] * cols + (chip_c % cols)
-
-    unit_edge_index = {}
-    for idx, pair in enumerate(wrapped.edges):
-        unit_edge_index.setdefault(pair, idx)
-
     chip = square_grid(big_rows, big_cols)
-    frequencies = {
-        r * big_cols + c: unit_solution.frequencies[unit_site(r, c)]
-        for r in range(big_rows)
-        for c in range(big_cols)
-    }
+    chip_r, chip_c = np.divmod(np.arange(chip.n_qubits), big_cols)
+    site = bc.site(chip_r, chip_c, rows, cols)
+    frequencies = {q: unit_solution.frequencies[u] for q, u in enumerate(site.tolist())}
 
-    orientations: dict[Edge, int] = {}
-    seam_edges: list[int] = []
-    edge_image: dict[int, int] = {}
-    for idx, (a, b) in enumerate(chip.edges):
-        ra, ca = divmod(a, big_cols)
-        rb, cb = divmod(b, big_cols)
-        ua, ub = unit_site(ra, ca), unit_site(rb, cb)
-        upair = (ua, ub) if ua < ub else (ub, ua)
-        uidx = unit_edge_index.get(upair)
-        if uidx is None:
-            raise RuntimeError(f"chip edge {(a, b)} has no wrapped-unit image")
-        edge_image[idx] = uidx
-        if (ra // rows, ca // cols) != (rb // rows, cb // cols):
-            seam_edges.append(idx)
-        unit_control = upair[0] if orient[upair] == 0 else upair[1]
-        orientations[(a, b)] = 0 if ua == unit_control else 1
+    # each chip edge images the first wrapped-unit edge with its unit pair
+    n_unit = wrapped.n_qubits
+    unit_edges = np.array(wrapped.edges)
+    keys, first = np.unique(unit_edges[:, 0] * n_unit + unit_edges[:, 1], return_index=True)
+    ends = np.array(chip.edges)
+    ua, ub = site[ends[:, 0]], site[ends[:, 1]]
+    low, high = np.minimum(ua, ub), np.maximum(ua, ub)
+    pair_key = low * n_unit + high
+    at = np.minimum(np.searchsorted(keys, pair_key), len(keys) - 1)
+    unmapped = np.flatnonzero(keys[at] != pair_key)
+    if unmapped.size:
+        raise RuntimeError(f"chip edge {chip.edges[unmapped[0]]} has no wrapped-unit image")
+    image = first[at]
+    unit_bit = np.array([orient[pair] for pair in wrapped.edges])
+    control = np.where(unit_bit[image] == 0, low, high)
+    orientations = dict(zip(chip.edges, (ua != control).astype(int).tolist()))
+    tile_of = _tile_of(np.arange(chip.n_qubits), rows, cols, nx)
+    seam_edges = np.flatnonzero(tile_of[ends[:, 0]] != tile_of[ends[:, 1]]).tolist()
 
-    geometry = dict(chip.geometry)
-    geometry["tiled_from"] = {
-        "rows": rows, "cols": cols, "bc": bc.to_json_dict(), "reps": [nx, ny],
-    }
-    chip_topo = Topology(
-        n_qubits=chip.n_qubits,
-        edges=chip.edges,
-        geometry=geometry,
-        orientation=orientations,
-    )
+    geometry = {**chip.geometry, "tiled_from": {"rows": rows, "cols": cols,
+                                                 "bc": bc.to_json_dict(), "reps": [nx, ny]}}
     return ChipAssembly(
-        chip_topology=chip_topo,
-        chip_assignment=FrequencyAssignment(frequencies=frequencies, orientations=dict(orientations)),
-        unit_geometry=(rows, cols),
-        reps=(nx, ny),
-        bc=bc,
-        seam_edges=seam_edges,
-        edge_image=edge_image,
+        chip_topology=Topology(chip.n_qubits, chip.edges, geometry, orientation=orientations),
+        chip_assignment=FrequencyAssignment(frequencies, dict(orientations)),
+        unit_geometry=(rows, cols), reps=(nx, ny), bc=bc, seam_edges=seam_edges,
+        edge_image=dict(enumerate(image.tolist())),
     )
 
 
@@ -240,15 +205,15 @@ def chip_check(chip: ChipAssembly, params: ConstraintParams) -> ViolationReport:
     return check(chip.chip_topology, chip.chip_assignment, params)
 
 
+def _tile_of(q, rows: int, cols: int, nx: int):
+    """The tile (numbered row-major) that chip qubit q lies in; q may be an int or an array."""
+    r, c = divmod(q, cols * nx)
+    return r // rows * nx + c // cols
+
+
 def seam_violations(chip: ChipAssembly, report: ViolationReport) -> list:
-    """Violations touching at least one seam coupler."""
-    seams = {chip.chip_topology.edges[i] for i in chip.seam_edges}
-
-    def pairs_of(parts: tuple[int, ...]) -> list[Edge]:
-        if len(parts) == 2:
-            couplers = [(parts[0], parts[1])]
-        else:
-            couplers = [(parts[0], parts[1]), (parts[1], parts[2])]
-        return [(a, b) if a < b else (b, a) for a, b in couplers]
-
-    return [v for v in report.violations if any(p in seams for p in pairs_of(v.participants))]
+    """Violations touching a seam coupler: their participants, joined by chip
+    couplers, lie in more than one tile."""
+    (rows, cols), nx = chip.unit_geometry, chip.reps[0]
+    return [v for v in report.violations
+            if len({_tile_of(q, rows, cols, nx) for q in v.participants}) > 1]

@@ -54,9 +54,15 @@ class AxisWrap:
     flip: bool = False
     enabled: bool = True
 
-    def image(self, i: int, n: int) -> int:
-        """Where transverse coordinate i (of n) lands after one boundary crossing."""
-        return ((n - 1 - i if self.flip else i) + self.shift) % n
+    def image(self, i, n: int, k=1):
+        """Where transverse coordinate i (of n) lands after k boundary crossings.
+
+        One crossing maps i to ((n-1-i if flip else i) + shift) % n.  A flip
+        undoes itself, so only the parity of k counts.  i, k: ints or arrays.
+        """
+        if self.flip:
+            return (i + k % 2 * (n - 1 - 2 * i + self.shift)) % n
+        return (i + k * self.shift) % n
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,16 @@ class BoundaryCondition:
     def __post_init__(self) -> None:
         if self.y.flip:
             raise ValueError("y-axis flip is not supported in any boundary condition")
+
+    def site(self, r, c, rows: int, cols: int):
+        """The unit site id that plane site (r, c) reduces to; ints or integer arrays.
+
+        Each exit through the unit's right edge applies the x wrap to the row,
+        each exit through its bottom edge the y wrap to the column.
+        """
+        ky, r = divmod(r, rows)
+        kx, c = divmod(c, cols)
+        return self.x.image(r, rows, kx) * cols + self.y.image(c, cols, ky)
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "x": asdict(self.x), "y": asdict(self.y)}
@@ -273,10 +289,10 @@ def hex_rings(rings: int) -> Topology:
 def wrap(topo: Topology, bc: BoundaryCondition) -> Topology:
     """Close a square unit cell onto itself according to bc.
 
-    x wrap connects each right-boundary site (r, cols-1) to the
-    left-boundary site (bc.x.image(r, rows), 0); y wrap connects (rows-1, c)
-    to (0, bc.y.image(c, cols)), and flipping y is rejected.  New edges
-    carry wrap tags keyed by their index.
+    Each boundary coupler joins an edge site to the unit site that its
+    plane neighbour across the edge reduces to under bc.site: the x wrap
+    joins (r, cols-1) to site(r, cols), the y wrap joins (rows-1, c) to
+    site(rows, c).  New edges carry wrap tags keyed by their index.
 
     Raises:
         ValueError: non-square geometry, extents < 2, or a wrap that would
@@ -288,24 +304,19 @@ def wrap(topo: Topology, bc: BoundaryCondition) -> Topology:
     if rows < 2 or cols < 2:
         raise ValueError("wrapping needs rows >= 2 and cols >= 2")
 
-    def qid(r: int, c: int) -> int:
-        return r * cols + c
-
     edges = list(topo.edges)
     wrap_tags = dict(topo.wrap_tags)
-    if bc.x.enabled:
-        for r in range(rows):
-            a, b = qid(r, cols - 1), qid(bc.x.image(r, rows), 0)
+    # per axis: the (edge site, plane site beyond it) pairs along its boundary
+    boundaries = (("x", bc.x, "row", [((r, cols - 1), (r, cols)) for r in range(rows)]),
+                  ("y", bc.y, "column", [((rows - 1, c), (rows, c)) for c in range(cols)]))
+    for axis, axis_wrap, line, crossings in boundaries:
+        if not axis_wrap.enabled:
+            continue
+        for i, ((r, c), beyond) in enumerate(crossings):
+            a, b = r * cols + c, bc.site(*beyond, rows, cols)
             if a == b:
-                raise ValueError(f"x wrap maps row {r} onto itself")
-            wrap_tags[len(edges)] = {"axis": "x", "via_bc": True}
-            edges.append(_canon(a, b))
-    if bc.y.enabled:
-        for c in range(cols):
-            a, b = qid(rows - 1, c), qid(0, bc.y.image(c, cols))
-            if a == b:
-                raise ValueError(f"y wrap maps column {c} onto itself")
-            wrap_tags[len(edges)] = {"axis": "y", "via_bc": True}
+                raise ValueError(f"{axis} wrap maps {line} {i} onto itself")
+            wrap_tags[len(edges)] = {"axis": axis, "via_bc": True}
             edges.append(_canon(a, b))
 
     geometry = dict(topo.geometry)
