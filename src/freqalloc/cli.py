@@ -413,6 +413,13 @@ def cmd_assemble(args, cfg: RunConfig, argv: list[str]) -> int:
         raise ConfigError(f"assemble cannot check DIFF on the chip: delta_diff is "
                           f"{params.delta_diff:g} MHz, it must be 0")
     sol = _load(args.solution, "solution", Solution.from_json_dict)
+    # an in-range pair the wrap lacks stays: a mismatched assembly reads another wrap's solution
+    foreign = [f'frequencies_mhz key "{q}" is not a qubit' for q in sol.frequencies
+               if q >= unit.n_qubits]
+    foreign += [f'orientations key "{edge_key(*e)}" is not a pair of qubits'
+                for e in sol.orientations if e[1] >= unit.n_qubits]
+    if foreign:
+        raise ConfigError(f"solution.{foreign[0]} of the unit")
     bc = _resolve_bc(args.bc)
     fill = args.fill_orientation
 

@@ -62,8 +62,9 @@ def _finite(text: str, what: str, line: str) -> float:
 def parse_lp(text: str) -> dict:
     """Parse the dialect subset into {objective, rows, bounds, binaries}.
 
-    The file must open with its Maximize section; a Minimize file, or one
-    with no objective section, raises LPParseError.
+    The file must open with its Maximize section, and every objective and
+    constraint line must carry its "name:" label; a Minimize file, one with
+    no objective section, or an unlabelled line raises LPParseError.
     """
     lines: list[str] = []
     for raw in text.splitlines():
@@ -90,7 +91,9 @@ def parse_lp(text: str) -> dict:
             i += 1
             continue
         if section == "maximize":
-            body = lines[i].split(":", 1)[1] if ":" in lines[i] else lines[i]
+            if ":" not in lines[i]:
+                raise LPParseError(f"objective without a name: {lines[i]!r}")
+            body = lines[i].split(":", 1)[1]
             if body.strip():
                 for var, c in _parse_terms(body).items():
                     objective[var] = objective.get(var, 0.0) + c

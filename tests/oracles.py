@@ -277,3 +277,123 @@ def gaussian_pair_success(gap, bound, sigma):
     z_hi = (bound - gap) / s
     z_lo = (-bound - gap) / s
     return 1.0 - (cdf(z_hi) - cdf(z_lo))
+
+
+# -- boundary wraps and tiling ---------------------------------------------
+# A boundary condition is read as its JSON dict: {"name", "x": {"shift",
+# "flip", "enabled"}, "y": {...}}.
+
+
+def _cross(axis, i, n):
+    """Transverse coordinate i (of n) after one crossing of a wrapped axis."""
+    return ((n - 1 - i if axis["flip"] else i) + axis["shift"]) % n
+
+
+def naive_crossings(axis, i, n, k):
+    """Transverse coordinate i (of n) after k >= 0 crossings, taken one at a time."""
+    i %= n
+    for _ in range(k):
+        i = _cross(axis, i, n)
+    return i
+
+
+def naive_grid_edges(rows, cols):
+    """Row-major grid couplers: the right, then the down coupler of each site."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            q = r * cols + c
+            if c + 1 < cols:
+                edges.append((q, q + 1))
+            if r + 1 < rows:
+                edges.append((q, q + cols))
+    return edges
+
+
+def naive_wrap(rows, cols, bc):
+    """(edges, {edge index: axis}) of a rows x cols grid closed by bc, one boundary at a time.
+
+    The x wrap joins (r, cols-1) to (x crossing of r, 0), the y wrap joins
+    (rows-1, c) to (0, y crossing of c); a joined pair that is one site raises
+    ValueError.
+    """
+    edges = naive_grid_edges(rows, cols)
+    tags = {}
+    if bc["x"]["enabled"]:
+        for r in range(rows):
+            a, b = r * cols + cols - 1, _cross(bc["x"], r, rows) * cols
+            if a == b:
+                raise ValueError(f"x wrap maps row {r} onto itself")
+            tags[len(edges)] = "x"
+            edges.append((min(a, b), max(a, b)))
+    if bc["y"]["enabled"]:
+        for c in range(cols):
+            a, b = (rows - 1) * cols + c, _cross(bc["y"], c, cols)
+            if a == b:
+                raise ValueError(f"y wrap maps column {c} onto itself")
+            tags[len(edges)] = "y"
+            edges.append((min(a, b), max(a, b)))
+    return edges, tags
+
+
+def naive_tile(rows, cols, bc, nx, ny, frequencies, orientations, fill):
+    """A tiled chip in the JSON shape of a chip file, placed one tile column at a time.
+
+    row_map[k] holds the unit row of each local row after k x crossings; the
+    y wrap is taken to be plain.  Every chip edge images the first wrapped
+    unit edge with its unit pair, and takes the direction of that edge's
+    control (fill for a wrapped pair that orientations lacks).
+    """
+    unit_edges, _ = naive_wrap(rows, cols, bc)
+    orient = {**{pair: fill for pair in unit_edges}, **orientations}
+    row_map = [list(range(rows))]
+    for _ in range(1, nx):
+        row_map.append([_cross(bc["x"], r, rows) for r in row_map[-1]])
+    big_rows, big_cols = rows * ny, cols * nx
+
+    def unit_site(q):
+        r, c = divmod(q, big_cols)
+        return row_map[c // cols][r % rows] * cols + c % cols
+
+    def tile_of(q):
+        r, c = divmod(q, big_cols)
+        return r // rows, c // cols
+
+    unit_edge_index = {}
+    for idx, pair in enumerate(unit_edges):
+        unit_edge_index.setdefault(pair, idx)
+    chip_edges = naive_grid_edges(big_rows, big_cols)
+    chip_orient, seams, image = {}, [], {}
+    for idx, (a, b) in enumerate(chip_edges):
+        ua, ub = unit_site(a), unit_site(b)
+        upair = (min(ua, ub), max(ua, ub))
+        image[str(idx)] = unit_edge_index[upair]
+        if tile_of(a) != tile_of(b):
+            seams.append(idx)
+        control = upair[0] if orient[upair] == 0 else upair[1]
+        chip_orient[f"{a}-{b}"] = 0 if ua == control else 1
+    freqs = {str(q): frequencies[unit_site(q)] for q in range(big_rows * big_cols)}
+    geometry = {"kind": "square", "rows": big_rows, "cols": big_cols,
+                "tiled_from": {"rows": rows, "cols": cols, "bc": bc, "reps": [nx, ny]}}
+    return {
+        "topology": {"n_qubits": big_rows * big_cols, "edges": [list(e) for e in chip_edges],
+                     "geometry": geometry, "orientation": chip_orient},
+        "assignment": {"frequencies_mhz": freqs, "orientations": chip_orient},
+        "unit_geometry": [rows, cols], "reps": [nx, ny], "bc": bc,
+        "seam_edges": seams, "edge_image": image,
+    }
+
+
+def naive_seam_violations(chip_edges, seam_edges, participants):
+    """Indexes of the participant tuples with a coupler pair on a seam edge.
+
+    A pair rule reads the coupler (p0, p1); a three-qubit rule reads
+    (p0, p1) and (p1, p2).
+    """
+    seams = {tuple(chip_edges[i]) for i in seam_edges}
+    hits = []
+    for n, parts in enumerate(participants):
+        pairs = [parts[:2]] if len(parts) == 2 else [parts[:2], parts[1:3]]
+        if any((min(a, b), max(a, b)) in seams for a, b in pairs):
+            hits.append(n)
+    return hits

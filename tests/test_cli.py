@@ -787,6 +787,35 @@ def test_assemble_rejects_wrapped_unit(tmp_path):
                  "--out", str(tmp_path / "chip")]) == 2
 
 
+@pytest.mark.parametrize("extra, name", [
+    ({"frequencies_mhz": {"42": 1.0}}, 'solution.frequencies_mhz key "42" is not a qubit'),
+    ({"orientations": {"7-40": 1}}, 'solution.orientations key "7-40" is not a pair of qubits'),
+], ids=["frequency", "orientation"])
+def test_assemble_rejects_keys_beyond_the_unit(tmp_path, capsys, extra, name):
+    unit_path = tmp_path / "unit.json"
+    assert main(["topo", "--rows", "3", "--cols", "3", "--out", str(unit_path)]) == 0
+    sol_doc = json.loads(write_unit_solution(tmp_path).read_text())
+    for key, entries in extra.items():
+        sol_doc[key].update(entries)
+    (tmp_path / "unit_sol.json").write_text(json.dumps(sol_doc))
+    capsys.readouterr()
+    assert main(["assemble", "--unit", str(unit_path), "--solution", str(tmp_path / "unit_sol.json"),
+                 "--bc", "PBC1", "--nx", "2", "--ny", "2", "--out", str(tmp_path / "chip")]) == 2
+    assert name + " of the unit" in assert_one_error_line(capsys)
+    assert not list(tmp_path.glob("chip.*"))
+
+
+def test_assemble_keeps_in_range_pairs_the_wrap_lacks(tmp_path):
+    # a solution of another wrap of the same unit orients couplers this wrap lacks
+    unit_path = tmp_path / "unit.json"
+    assert main(["topo", "--rows", "3", "--cols", "3", "--out", str(unit_path)]) == 0
+    sol_doc = json.loads(write_unit_solution(tmp_path).read_text())
+    sol_doc["orientations"]["0-4"] = 1
+    (tmp_path / "unit_sol.json").write_text(json.dumps(sol_doc))
+    assert main(["assemble", "--unit", str(unit_path), "--solution", str(tmp_path / "unit_sol.json"),
+                 "--bc", "PBC1", "--nx", "2", "--ny", "2", "--out", str(tmp_path / "chip")]) == 0
+
+
 @pytest.mark.parametrize("source", ["flag", "params_file", "config_params"])
 def test_assemble_refuses_diff(tmp_path, capsys, source):
     # chip_check does not price DIFF, so a chip report could not cover it

@@ -214,6 +214,8 @@ def test_parser_rejects_junk():
         parse_lp("Maximize\n obj: x\nBounds\n x >= 1e\nEnd\n")
     with pytest.raises(LPParseError):
         parse_lp("Minimize\n obj: x\nSubject To\n r1: x >= 0\nEnd\n")  # not the Maximize dialect
+    with pytest.raises(LPParseError):  # a header word it does not know is not a variable
+        parse_lp("Maximize\n obj: x\nMinimize\n obj: y\nSubject To\n r1: x >= 0\nEnd\n")
 
 
 @pytest.mark.parametrize("rhs", ["abc", "nan", "inf", "-Infinity", "1e999"])
